@@ -19,7 +19,7 @@ fn bench_experiments(c: &mut Criterion) {
     for entry in runner::registry() {
         group.bench_function(entry.id, |b| {
             b.iter(|| {
-                let result = (entry.run)(&ctx);
+                let result = entry.run(&ctx);
                 assert!(
                     result.all_passed(),
                     "{} shape checks failed during benchmarking",

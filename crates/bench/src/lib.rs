@@ -194,7 +194,8 @@ pub fn bench_prefs(c: &mut Criterion) {
     let n = 2000usize;
     let (graph, prefs, caps) = latency_instance(n, 0x9e1);
     let mut dynamics =
-        GeneralDynamics::new(&graph, &prefs, caps, InitiativeStrategy::BestMate).expect("sizes");
+        GeneralDynamics::from_preferences(&graph, &prefs, caps, InitiativeStrategy::BestMate)
+            .expect("sizes");
     dynamics.settle().expect("latency systems are cycle-free");
     group.bench_with_input(
         BenchmarkId::new("settled_sweep_latency_d20_b3", n),

@@ -18,7 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use strat_graph::NodeId;
 
-use crate::{Dynamics, DynamicsDriver, InitiativeOutcome};
+use crate::{Engine, InitiativeOutcome, PreferenceKeys, RankedAcceptance};
 
 /// What a single churn event did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,13 +35,13 @@ pub enum ChurnEvent {
     },
 }
 
-/// Churn-driven simulation: wraps a dynamics backend and interleaves
-/// random departures/arrivals with initiative steps.
+/// Churn-driven simulation: wraps an [`Engine`] and interleaves random
+/// departures/arrivals with initiative steps.
 ///
-/// The process is generic over [`DynamicsDriver`] — any instantiation of
-/// the incremental engine (the ranked [`Dynamics`], which is the default
-/// type parameter, or the generalized-preference drivers) churns the same
-/// way, consuming identical randomness for identical presence decisions.
+/// The process is generic over the engine's key type — the ranked
+/// [`crate::Dynamics`] (the default), [`crate::prefs::GeneralDynamics`], or
+/// any other [`PreferenceKeys`] table churns the same way, consuming
+/// identical randomness for identical presence decisions.
 ///
 /// # Examples
 ///
@@ -66,21 +66,21 @@ pub enum ChurnEvent {
 /// # Ok::<(), strat_core::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct ChurnProcess<D: DynamicsDriver = Dynamics> {
-    dynamics: D,
+pub struct ChurnProcess<K: PreferenceKeys = RankedAcceptance> {
+    dynamics: Engine<K>,
     rate: f64,
     events: u64,
 }
 
-impl<D: DynamicsDriver> ChurnProcess<D> {
-    /// Wraps a dynamics driver with churn at `rate` events per initiative
+impl<K: PreferenceKeys> ChurnProcess<K> {
+    /// Wraps an engine with churn at `rate` events per initiative
     /// step.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is not a finite value in `[0, 1]`.
     #[must_use]
-    pub fn new(dynamics: D, rate: f64) -> Self {
+    pub fn new(dynamics: Engine<K>, rate: f64) -> Self {
         assert!(
             rate.is_finite() && (0.0..=1.0).contains(&rate),
             "churn rate must be in [0, 1], got {rate}"
@@ -94,13 +94,13 @@ impl<D: DynamicsDriver> ChurnProcess<D> {
 
     /// The wrapped dynamics (current configuration, disorder, …).
     #[must_use]
-    pub fn dynamics(&self) -> &D {
+    pub fn dynamics(&self) -> &Engine<K> {
         &self.dynamics
     }
 
     /// Mutable access to the wrapped dynamics.
     #[must_use]
-    pub fn dynamics_mut(&mut self) -> &mut D {
+    pub fn dynamics_mut(&mut self) -> &mut Engine<K> {
         &mut self.dynamics
     }
 
@@ -176,7 +176,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use strat_graph::generators;
 
-    use crate::{Capacities, GlobalRanking, InitiativeStrategy, RankedAcceptance};
+    use crate::{Capacities, Dynamics, GlobalRanking, InitiativeStrategy};
 
     use super::*;
 

@@ -1,10 +1,23 @@
-//! The generic event-driven dynamics engine.
+//! The initiative-driven dynamics engine (§3).
 //!
-//! PR 1 built the fast initiative driver ([`crate::Dynamics`]) hardwired to
-//! the paper's global ranking; `prefs::best_mate_dynamics` covered the
-//! generalized preference systems of §7 by re-scanning full neighborhoods
-//! every sweep. This module unifies them: **one** incremental engine
-//! ([`Engine`]) owns the machinery both need —
+//! Peers continuously *take initiatives*: peer `p` proposes partnership to
+//! an acceptable peer; when the contacted peer forms a blocking pair with
+//! `p`, the initiative is **active** — the pair matches and each side drops
+//! its worst mate if saturated. Theorem 1 proves any sequence of active
+//! initiatives reaches the unique stable configuration.
+//!
+//! Three scan strategies are modeled, matching the paper:
+//!
+//! * **best mate** — `p` picks its best available blocking mate (full
+//!   knowledge of ranks and availability);
+//! * **decremental** — `p` circularly scans its acceptance list from the
+//!   last asked peer (knows ranks, not availability);
+//! * **random** — `p` probes one uniformly random acceptable peer (no
+//!   information; this is the BitTorrent optimistic-unchoke analogue, §6).
+//!
+//! # Architecture
+//!
+//! **One** incremental engine ([`Engine`]) owns the machinery:
 //!
 //! * per-peer **acceptance thresholds**, updated incrementally on the peers
 //!   an event touches (each candidate probe is two array reads + compare);
@@ -12,32 +25,40 @@
 //!   mate; deterministic scans skip it entirely);
 //! * **presence versioning** for churn, with the memoized instant-stable
 //!   configuration keyed on it;
-//! * a **configuration version** that lets metric reads memoize their value
-//!   between events.
+//! * a **configuration version** that lets the disorder metrics memoize
+//!   their value between events.
 //!
 //! The engine is parameterized over [`PreferenceKeys`]: a precomputed
 //! per-neighborhood key table. Keys generalize global ranks — each peer's
 //! acceptance row is sorted by *that peer's* preference and annotated with
 //! strictly increasing [`Rank`] keys, and `rev_key` answers "what key does
 //! my k-th neighbour assign to *me*" (the reciprocal half of every
-//! blocking-pair test). Two instantiations exist:
+//! blocking-pair test). The key table also decides the two things that
+//! depend on the key type: how the instant stable configuration is
+//! computed and which disorder metric applies. Two instantiations exist:
 //!
-//! * [`RankedAcceptance`] — keys are global rank positions, `rev_key` is the
-//!   owner's own global rank. [`crate::Dynamics`] is a thin wrapper over
-//!   `Engine<RankedAcceptance>` and stays bit-identical to its pre-refactor
-//!   behaviour (same scans, same RNG consumption, same arena contents);
-//! * [`crate::prefs::PrefAcceptance`] — keys are per-neighborhood preference
-//!   positions built from any [`crate::prefs::PreferenceSystem`];
-//!   [`crate::prefs::GeneralDynamics`] and the dirty-set
-//!   [`crate::prefs::best_mate_dynamics`] ride on it.
+//! * [`Dynamics`] = `Engine<RankedAcceptance>` — keys are global rank
+//!   positions, `rev_key` is the owner's own global rank; the instant
+//!   stable configuration is Algorithm 1 over the present peers;
+//! * [`crate::prefs::GeneralDynamics`] = `Engine<PrefAcceptance>` — keys
+//!   are per-neighborhood preference positions built from any
+//!   [`crate::prefs::PreferenceSystem`]; the instant stable configuration
+//!   is the deterministic best-mate fixpoint. The dirty-set
+//!   [`crate::prefs::best_mate_dynamics`] rides on it too.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use strat_graph::NodeId;
 
-use crate::{blocking, Capacities, Matching, ModelError, Rank, RankedAcceptance};
+use crate::{
+    blocking, distance, stable_configuration_masked, Capacities, Matching, ModelError, Rank,
+    RankedAcceptance,
+};
 
 /// How a peer scans its acceptance list for a blocking mate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -79,7 +100,8 @@ impl InitiativeOutcome {
 }
 
 /// Precomputed preference-key access over an acceptance structure — the
-/// fast-path contract of [`Engine`].
+/// fast-path contract of [`Engine`], plus the two computations whose
+/// definition depends on the key type.
 ///
 /// Implementations must guarantee, for every peer `v`:
 ///
@@ -99,12 +121,31 @@ pub trait PreferenceKeys {
 
     /// Key that the `k`-th acceptable peer of `v` assigns to `v`.
     fn rev_key(&self, v: NodeId, k: usize) -> Rank;
+
+    /// The instant stable configuration over the peers `v` with
+    /// `present[v]`: the baseline the disorder metrics measure against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance admits no stable configuration, or if
+    /// `caps` or `present` do not cover the key table.
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching;
+
+    /// Disorder of `matching` against the instant stable configuration
+    /// `stable` (the 1-matching metric of §3).
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64;
+
+    /// Disorder of `matching` against `stable` under the generalized
+    /// b-matching metric.
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64;
 }
 
 /// The ranked instantiation: keys are global rank positions (every row of
 /// [`RankedAcceptance`] is already sorted best-rank-first with precomputed
 /// ranks), and the key a neighbour assigns to `v` is `v`'s own global rank,
-/// independent of the neighbour.
+/// independent of the neighbour. The instant stable configuration is
+/// Algorithm 1 over the present peers; the disorder metrics are the
+/// paper's, defined against the global ranking.
 impl PreferenceKeys for RankedAcceptance {
     fn node_count(&self) -> usize {
         self.node_count()
@@ -118,6 +159,19 @@ impl PreferenceKeys for RankedAcceptance {
     #[inline]
     fn rev_key(&self, v: NodeId, _k: usize) -> Rank {
         self.ranking().rank_of(v)
+    }
+
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        stable_configuration_masked(self, caps, |v| present[v.index()])
+            .expect("sizes validated at construction")
+    }
+
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        distance::disorder(self.ranking(), matching, stable)
+    }
+
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        distance::distance_general(self.ranking(), matching, stable)
     }
 }
 
@@ -138,52 +192,30 @@ impl<K: PreferenceKeys> PreferenceKeys for &K {
     fn rev_key(&self, v: NodeId, k: usize) -> Rank {
         (**self).rev_key(v, k)
     }
-}
 
-/// The common driver surface of the initiative-process engines —
-/// what [`crate::ChurnProcess`] (and the scenario layer's backend enum)
-/// need from a dynamics backend.
-pub trait DynamicsDriver {
-    /// Number of peers (present or not).
-    fn node_count(&self) -> usize;
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        (**self).instant_stable(caps, present)
+    }
 
-    /// Number of present peers.
-    fn present_count(&self) -> usize;
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        (**self).disorder(matching, stable)
+    }
 
-    /// Whether peer `v` is present.
-    fn is_present(&self, v: NodeId) -> bool;
-
-    /// Removes a peer (drops its collaborations). No-op if absent.
-    fn remove_peer(&mut self, v: NodeId);
-
-    /// Re-inserts an absent peer with no mates. No-op if present.
-    fn insert_peer(&mut self, v: NodeId);
-
-    /// One initiative by a uniformly random present peer.
-    fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome;
-
-    /// Runs `n` initiatives (one *base unit*). Returns the active count.
-    fn run_base_unit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let n = self.node_count();
-        (0..n).filter(|_| self.step(rng).is_active()).count()
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        (**self).disorder_general(matching, stable)
     }
 }
 
 /// A metric-value memo keyed by an engine's
 /// `(presence_version, config_version)` pair: reads between events are
-/// O(1); any initiative or churn event invalidates. Shared by the drivers'
-/// disorder memos so the invalidation semantics live in exactly one place.
+/// O(1); any initiative or churn event invalidates.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct VersionMemo(Cell<Option<(u64, u64, f64)>>);
+struct VersionMemo(Cell<Option<(u64, u64, f64)>>);
 
 impl VersionMemo {
     /// Returns the memoized value for `versions`, computing and storing it
     /// on a version mismatch.
-    pub(crate) fn get_or_compute(
-        &self,
-        versions: (u64, u64),
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
+    fn get_or_compute(&self, versions: (u64, u64), compute: impl FnOnce() -> f64) -> f64 {
         if let Some((pv, cv, value)) = self.0.get() {
             if (pv, cv) == versions {
                 return value;
@@ -195,13 +227,13 @@ impl VersionMemo {
     }
 }
 
-/// The generic incremental dynamics engine (see the [module docs](self)).
+/// The initiative-process engine (see the [module docs](self)).
 ///
 /// Holds the configuration, the per-peer threshold and clean/dirty caches,
-/// peer presence, and the version counters; scans run entirely on the
-/// precomputed keys of `K`. Use through [`crate::Dynamics`] (global
-/// ranking) or [`crate::prefs::GeneralDynamics`] (arbitrary preference
-/// systems) unless you are building a new driver.
+/// peer presence, the version counters and the metric memos; scans run
+/// entirely on the precomputed keys of `K`. Most callers use it through
+/// [`Dynamics`] (global ranking) or [`crate::prefs::GeneralDynamics`]
+/// (arbitrary preference systems).
 #[derive(Debug, Clone)]
 pub struct Engine<K: PreferenceKeys> {
     keys: K,
@@ -231,9 +263,44 @@ pub struct Engine<K: PreferenceKeys> {
     /// present set — never on the current matching — so initiatives leave
     /// it valid and only churn events invalidate it.
     stable_memo: RefCell<Option<(u64, Matching)>>,
+    /// Memoized [`disorder`](Self::disorder) value.
+    disorder_memo: VersionMemo,
+    /// Memoized [`disorder_general`](Self::disorder_general) value.
+    general_memo: VersionMemo,
     initiatives: u64,
     active_initiatives: u64,
 }
+
+/// The initiative process under a global ranking, with optional peer
+/// presence (for the removal and churn experiments of Figures 2–3).
+///
+/// # Examples
+///
+/// Converge a small system from the empty configuration and verify it
+/// reaches the stable matching:
+///
+/// ```
+/// use rand::SeedableRng;
+/// use strat_core::{
+///     stable_configuration, Capacities, Dynamics, GlobalRanking, InitiativeStrategy,
+///     RankedAcceptance,
+/// };
+/// use strat_graph::generators;
+///
+/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+/// let graph = generators::erdos_renyi_mean_degree(50, 8.0, &mut rng);
+/// let acc = RankedAcceptance::new(graph, GlobalRanking::identity(50))?;
+/// let caps = Capacities::constant(50, 1);
+/// let stable = stable_configuration(&acc, &caps)?;
+///
+/// let mut dynamics = Dynamics::new(acc, caps, InitiativeStrategy::BestMate)?;
+/// for _ in 0..100 {
+///     dynamics.run_base_unit(&mut rng); // n initiatives each
+/// }
+/// assert_eq!(dynamics.matching(), &stable);
+/// # Ok::<(), strat_core::ModelError>(())
+/// ```
+pub type Dynamics = Engine<RankedAcceptance>;
 
 impl<K: PreferenceKeys> Engine<K> {
     /// Creates an engine starting from the empty configuration `C∅`.
@@ -263,6 +330,8 @@ impl<K: PreferenceKeys> Engine<K> {
             presence_version: 0,
             config_version: 0,
             stable_memo: RefCell::new(None),
+            disorder_memo: VersionMemo::default(),
+            general_memo: VersionMemo::default(),
             initiatives: 0,
             active_initiatives: 0,
         };
@@ -664,23 +733,94 @@ impl<K: PreferenceKeys> Engine<K> {
         }
     }
 
-    /// Runs `read` on the (memoized) instant stable configuration and the
-    /// current matching, calling `compute` to refresh the memo if a churn
-    /// event invalidated it. What "instant stable" means is the caller's
-    /// contract — Algorithm 1 for the ranked driver, the deterministic
-    /// best-mate fixpoint for the generalized one.
-    pub fn with_instant_stable<T>(
-        &self,
-        compute: impl FnOnce() -> Matching,
-        read: impl FnOnce(&Matching, &Matching) -> T,
-    ) -> T {
+    /// Disorder of the current configuration: distance to the instant stable
+    /// configuration of the present peers, in the key table's metric
+    /// ([`PreferenceKeys::disorder`]).
+    ///
+    /// The *value* is memoized per `(presence, configuration)` version pair
+    /// on top of the instant-stable memo (which is itself memoized per
+    /// presence set), so repeated reads at a fixed configuration cost O(1)
+    /// rather than an O(n) distance scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance admits no stable configuration.
+    #[must_use]
+    pub fn disorder(&self) -> f64 {
+        self.disorder_memo.get_or_compute(self.versions(), || {
+            self.with_instant_stable(|stable| self.keys.disorder(&self.matching, stable))
+        })
+    }
+
+    /// Disorder under the generalized b-matching metric
+    /// ([`PreferenceKeys::disorder_general`]); use this instead of
+    /// [`disorder`](Self::disorder) when capacities exceed 1. Memoized like
+    /// [`disorder`](Self::disorder).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance admits no stable configuration.
+    #[must_use]
+    pub fn disorder_general(&self) -> f64 {
+        self.general_memo.get_or_compute(self.versions(), || {
+            self.with_instant_stable(|stable| self.keys.disorder_general(&self.matching, stable))
+        })
+    }
+
+    /// The instant stable configuration over present peers
+    /// ([`PreferenceKeys::instant_stable`]), memoized per presence set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance admits no stable configuration.
+    #[must_use]
+    pub fn instant_stable(&self) -> Matching {
+        self.with_instant_stable(Matching::clone)
+    }
+
+    /// Runs `read` on the memoized instant stable configuration, refreshing
+    /// the memo if a churn event invalidated it. The stable configuration
+    /// depends only on the keys, the capacities and the present set, so
+    /// initiatives leave it valid.
+    fn with_instant_stable<T>(&self, read: impl FnOnce(&Matching) -> T) -> T {
         let mut memo = self.stable_memo.borrow_mut();
         let fresh = !matches!(*memo, Some((version, _)) if version == self.presence_version);
         if fresh {
-            *memo = Some((self.presence_version, compute()));
+            let stable = self.keys.instant_stable(&self.caps, &self.present);
+            *memo = Some((self.presence_version, stable));
         }
         let (_, stable) = memo.as_ref().expect("memo just refreshed");
-        read(stable, &self.matching)
+        read(stable)
+    }
+
+    /// Runs deterministic round-robin best-mate sweeps until stability
+    /// (the generalized Figure 2 starting point), returning the number of
+    /// active initiatives performed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NoStableConfiguration`] when a configuration is
+    /// revisited (odd preference cycle).
+    pub fn settle(&mut self) -> Result<u64, ModelError> {
+        let n = self.node_count();
+        let mut seen: HashSet<u64> = HashSet::new();
+        seen.insert(matching_fingerprint(&self.matching));
+        let mut steps = 0u64;
+        loop {
+            let mut any_active = false;
+            for p in 0..n {
+                if self.best_mate_initiative(NodeId::new(p)).is_active() {
+                    steps += 1;
+                    any_active = true;
+                }
+            }
+            if !any_active {
+                return Ok(steps);
+            }
+            if !seen.insert(matching_fingerprint(&self.matching)) {
+                return Err(ModelError::NoStableConfiguration);
+            }
+        }
     }
 
     /// Recomputes the cached acceptance threshold of `v` (O(1)).
@@ -704,5 +844,382 @@ impl<K: PreferenceKeys> Engine<K> {
         for &w in ids {
             self.dirty[w.index()] = true;
         }
+    }
+}
+
+/// Order-insensitive fingerprint of an arena configuration (the
+/// [`crate::prefs::PrefMatching::fingerprint`] analogue for [`Matching`],
+/// used by [`Engine::settle`]'s revisit detection).
+fn matching_fingerprint(m: &Matching) -> u64 {
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.edge_count());
+    for u in 0..m.node_count() {
+        for &v in m.mates(NodeId::new(u)) {
+            if u < v.index() {
+                edges.push((u as u32, v.raw()));
+            }
+        }
+    }
+    edges.sort_unstable();
+    let mut hasher = DefaultHasher::new();
+    edges.hash(&mut hasher);
+    hasher.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use strat_graph::{generators, Graph};
+
+    use crate::prefs::LatencyPrefs;
+    use crate::{stable_configuration, GlobalRanking, PrefAcceptance};
+
+    use super::*;
+
+    fn n(i: usize) -> NodeId {
+        NodeId::new(i)
+    }
+
+    /// A key type the generic tests can build from a topology.
+    trait TestKeys: PreferenceKeys + Sized {
+        fn from_graph(graph: Graph) -> Self;
+    }
+
+    /// Global ranking = identity.
+    impl TestKeys for RankedAcceptance {
+        fn from_graph(graph: Graph) -> Self {
+            let count = graph.node_count();
+            RankedAcceptance::new(graph, GlobalRanking::identity(count)).unwrap()
+        }
+    }
+
+    /// Latency preferences over scattered 1-D positions.
+    impl TestKeys for PrefAcceptance {
+        fn from_graph(graph: Graph) -> Self {
+            let count = graph.node_count();
+            let positions = (0..count).map(|i| (i * 37 % count) as f64).collect();
+            PrefAcceptance::build(&graph, &LatencyPrefs::new(positions))
+        }
+    }
+
+    fn build_keyed<K: TestKeys>(
+        count: usize,
+        degree: f64,
+        b0: u32,
+        strategy: InitiativeStrategy,
+        seed: u64,
+    ) -> (Engine<K>, ChaCha8Rng) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let graph = generators::erdos_renyi_mean_degree(count, degree, &mut rng);
+        let caps = Capacities::constant(count, b0);
+        (
+            Engine::new(K::from_graph(graph), caps, strategy).unwrap(),
+            rng,
+        )
+    }
+
+    fn build(
+        count: usize,
+        degree: f64,
+        b0: u32,
+        strategy: InitiativeStrategy,
+        seed: u64,
+    ) -> (Dynamics, ChaCha8Rng) {
+        build_keyed(count, degree, b0, strategy, seed)
+    }
+
+    /// The instant stable configuration computed from scratch, bypassing
+    /// the engine's memo.
+    fn fresh_stable<K: PreferenceKeys>(d: &Engine<K>) -> Matching {
+        let present: Vec<bool> = (0..d.node_count()).map(|v| d.is_present(n(v))).collect();
+        d.keys().instant_stable(d.capacities(), &present)
+    }
+
+    /// Brute-force recomputation of every threshold; the incremental cache
+    /// must match it after any sequence of operations.
+    fn assert_thresholds_consistent(dynamics: &Dynamics) {
+        for v in 0..dynamics.node_count() {
+            let v = n(v);
+            assert_eq!(
+                dynamics.accept_below()[v.index()],
+                blocking::accept_threshold(dynamics.matching(), dynamics.capacities(), v),
+                "stale threshold for {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn best_mate_converges_to_stable() {
+        let (mut dyn_, mut rng) = build(80, 10.0, 1, InitiativeStrategy::BestMate, 4);
+        let stable = stable_configuration(dyn_.keys(), dyn_.capacities()).unwrap();
+        for _ in 0..200 {
+            dyn_.run_base_unit(&mut rng);
+            if dyn_.matching() == &stable {
+                break;
+            }
+        }
+        assert_eq!(dyn_.matching(), &stable);
+        assert!(dyn_.is_stable());
+        assert_eq!(dyn_.disorder(), 0.0);
+    }
+
+    #[test]
+    fn decremental_and_random_also_converge() {
+        for strategy in [InitiativeStrategy::Decremental, InitiativeStrategy::Random] {
+            let (mut dyn_, mut rng) = build(40, 8.0, 2, strategy, 9);
+            for _ in 0..2000 {
+                dyn_.run_base_unit(&mut rng);
+                if dyn_.is_stable() {
+                    break;
+                }
+            }
+            assert!(dyn_.is_stable(), "{strategy:?} failed to converge");
+            let stable = stable_configuration(dyn_.keys(), dyn_.capacities()).unwrap();
+            assert_eq!(
+                dyn_.matching(),
+                &stable,
+                "{strategy:?} reached a different fixpoint"
+            );
+        }
+    }
+
+    #[test]
+    fn initiatives_preserve_invariants() {
+        let (mut dyn_, mut rng) = build(50, 12.0, 3, InitiativeStrategy::Random, 21);
+        for _ in 0..500 {
+            dyn_.step(&mut rng);
+            assert!(dyn_
+                .matching()
+                .check_invariants(dyn_.keys().ranking(), dyn_.capacities()));
+        }
+        assert_thresholds_consistent(&dyn_);
+    }
+
+    #[test]
+    fn threshold_cache_stays_consistent_under_churn_and_steps() {
+        let (mut dyn_, mut rng) = build(40, 9.0, 2, InitiativeStrategy::BestMate, 33);
+        for round in 0..60 {
+            dyn_.step(&mut rng);
+            if round % 7 == 0 {
+                dyn_.remove_peer(n(round % 40));
+            }
+            if round % 11 == 0 {
+                dyn_.insert_peer(n((round * 3) % 40));
+            }
+            assert_thresholds_consistent(&dyn_);
+        }
+    }
+
+    fn check_instant_stable_memo_matches_fresh_computation<K: TestKeys>() {
+        let (mut dyn_, mut rng) = build_keyed::<K>(60, 9.0, 2, InitiativeStrategy::Random, 17);
+        for round in 0..80 {
+            dyn_.step(&mut rng);
+            if round % 9 == 3 {
+                dyn_.remove_peer(n(round % 60));
+            }
+            if round % 13 == 5 {
+                dyn_.insert_peer(n((round * 7) % 60));
+            }
+            // Memoized metric must agree with a from-scratch recomputation
+            // after any mix of initiative and churn events, including
+            // repeated reads between events.
+            let stable = fresh_stable(&dyn_);
+            assert_eq!(dyn_.instant_stable(), stable);
+            let want = dyn_.keys().disorder_general(dyn_.matching(), &stable);
+            assert_eq!(dyn_.disorder_general(), want);
+            assert_eq!(
+                dyn_.disorder_general(),
+                want,
+                "second (memoized) read differs"
+            );
+        }
+    }
+
+    #[test]
+    fn instant_stable_memo_matches_fresh_computation() {
+        check_instant_stable_memo_matches_fresh_computation::<RankedAcceptance>();
+        check_instant_stable_memo_matches_fresh_computation::<PrefAcceptance>();
+    }
+
+    #[test]
+    fn ranked_instant_stable_is_masked_algorithm1() {
+        let (mut dyn_, _) = build(60, 9.0, 2, InitiativeStrategy::BestMate, 17);
+        dyn_.remove_peer(n(4));
+        dyn_.remove_peer(n(11));
+        let want =
+            stable_configuration_masked(dyn_.keys(), dyn_.capacities(), |v| dyn_.is_present(v))
+                .unwrap();
+        assert_eq!(dyn_.instant_stable(), want);
+    }
+
+    /// The value memo of `metric` must refresh across initiatives (config
+    /// version), removals and insertions (presence version) alike.
+    fn check_value_memo_tracks_every_event_kind<K: TestKeys>(
+        b0: u32,
+        seed: u64,
+        metric: fn(&Engine<K>) -> f64,
+        definition: fn(&K, &Matching, &Matching) -> f64,
+    ) {
+        let (mut dyn_, mut rng) =
+            build_keyed::<K>(50, 10.0, b0, InitiativeStrategy::BestMate, seed);
+        let fresh = |d: &Engine<K>| definition(d.keys(), d.matching(), &fresh_stable(d));
+        assert_eq!(metric(&dyn_), fresh(&dyn_));
+        dyn_.run_base_unit(&mut rng);
+        assert_eq!(metric(&dyn_), fresh(&dyn_));
+        dyn_.remove_peer(n(3));
+        assert_eq!(metric(&dyn_), fresh(&dyn_));
+        dyn_.insert_peer(n(3));
+        assert_eq!(metric(&dyn_), fresh(&dyn_));
+        // And a second read with no event in between stays identical.
+        assert_eq!(metric(&dyn_), fresh(&dyn_));
+    }
+
+    #[test]
+    fn disorder_general_value_memo_tracks_every_event_kind() {
+        check_value_memo_tracks_every_event_kind::<RankedAcceptance>(
+            2,
+            29,
+            Engine::disorder_general,
+            PreferenceKeys::disorder_general,
+        );
+        check_value_memo_tracks_every_event_kind::<PrefAcceptance>(
+            2,
+            29,
+            Engine::disorder_general,
+            PreferenceKeys::disorder_general,
+        );
+    }
+
+    #[test]
+    fn disorder_value_memo_tracks_every_event_kind() {
+        check_value_memo_tracks_every_event_kind::<RankedAcceptance>(
+            1,
+            31,
+            Engine::disorder,
+            PreferenceKeys::disorder,
+        );
+        check_value_memo_tracks_every_event_kind::<PrefAcceptance>(
+            1,
+            31,
+            Engine::disorder,
+            PreferenceKeys::disorder,
+        );
+    }
+
+    fn check_disorder_memo_survives_initiatives_and_invalidates_on_churn<K: TestKeys>() {
+        let (mut dyn_, mut rng) = build_keyed::<K>(40, 8.0, 1, InitiativeStrategy::BestMate, 23);
+        let before = dyn_.instant_stable();
+        for _ in 0..5 {
+            dyn_.run_base_unit(&mut rng);
+        }
+        // Initiatives never change the instant stable configuration.
+        assert_eq!(dyn_.instant_stable(), before);
+        let leaver = (0..40)
+            .map(n)
+            .find(|&v| before.degree(v) > 0)
+            .expect("a matched peer");
+        dyn_.remove_peer(leaver);
+        let after = dyn_.instant_stable();
+        assert_eq!(after.degree(leaver), 0);
+        assert_ne!(after, before);
+    }
+
+    #[test]
+    fn disorder_memo_survives_initiatives_and_invalidates_on_churn() {
+        check_disorder_memo_survives_initiatives_and_invalidates_on_churn::<RankedAcceptance>();
+        check_disorder_memo_survives_initiatives_and_invalidates_on_churn::<PrefAcceptance>();
+    }
+
+    #[test]
+    fn active_initiative_counting() {
+        let (mut dyn_, mut rng) = build(30, 6.0, 1, InitiativeStrategy::BestMate, 2);
+        for _ in 0..300 {
+            dyn_.step(&mut rng);
+        }
+        assert!(dyn_.initiative_count() >= 300);
+        assert!(dyn_.active_initiative_count() <= dyn_.initiative_count());
+        // Theorem 1: at most B/2 active initiatives are *needed*; the random
+        // scheduler may use more, but convergence must have happened here.
+        assert!(dyn_.is_stable());
+    }
+
+    #[test]
+    fn removal_perturbs_then_reconverges() {
+        let (mut dyn_, mut rng) = build(60, 10.0, 1, InitiativeStrategy::BestMate, 7);
+        while !dyn_.is_stable() {
+            dyn_.run_base_unit(&mut rng);
+        }
+        dyn_.remove_peer(n(0));
+        assert!(!dyn_.is_present(n(0)));
+        assert_eq!(dyn_.present_count(), 59);
+        // Disorder is measured against the new instant stable configuration.
+        let d0 = dyn_.disorder();
+        for _ in 0..100 {
+            dyn_.run_base_unit(&mut rng);
+        }
+        assert!(dyn_.is_stable());
+        assert!(dyn_.disorder() <= d0);
+        // The removed peer stays unmated.
+        assert_eq!(dyn_.matching().degree(n(0)), 0);
+    }
+
+    #[test]
+    fn insert_restores_presence() {
+        let (mut dyn_, mut rng) = build(20, 8.0, 1, InitiativeStrategy::BestMate, 3);
+        dyn_.remove_peer(n(5));
+        dyn_.insert_peer(n(5));
+        assert!(dyn_.is_present(n(5)));
+        assert_eq!(dyn_.present_count(), 20);
+        for _ in 0..200 {
+            dyn_.run_base_unit(&mut rng);
+        }
+        assert!(dyn_.is_stable());
+    }
+
+    #[test]
+    fn empty_system_steps_are_inactive() {
+        let (mut dyn_, mut rng) = build(3, 2.0, 1, InitiativeStrategy::BestMate, 1);
+        for i in 0..3 {
+            dyn_.remove_peer(n(i));
+        }
+        assert_eq!(dyn_.step(&mut rng), InitiativeOutcome::Inactive);
+    }
+
+    #[test]
+    fn with_configuration_starts_elsewhere() {
+        let (dyn0, _) = build(10, 9.0, 1, InitiativeStrategy::BestMate, 5);
+        let acc = dyn0.keys().clone();
+        let caps = dyn0.capacities().clone();
+        let stable = stable_configuration(&acc, &caps).unwrap();
+        let dyn_ =
+            Dynamics::with_configuration(acc, caps, InitiativeStrategy::BestMate, stable.clone())
+                .unwrap();
+        assert!(dyn_.is_stable());
+        assert_eq!(dyn_.disorder(), 0.0);
+        assert_thresholds_consistent(&dyn_);
+    }
+
+    #[test]
+    fn theorem1_greedy_schedule_uses_at_most_b_over_2_actives() {
+        // Theorem 1: the stable solution CAN be reached in B/2 initiatives.
+        // The witnessing schedule processes peers best-rank-first, each
+        // repeating best-mate initiatives until inactive (Algorithm 1 replay).
+        // Every active initiative then creates one stable edge, so the count
+        // equals the stable edge count <= B/2.
+        let (mut dyn_, mut rng) = build(40, 10.0, 2, InitiativeStrategy::BestMate, 13);
+        let b_total = dyn_.capacities().total();
+        let mut actives = 0u64;
+        for v in 0..dyn_.node_count() {
+            while dyn_.initiative(n(v), &mut rng).is_active() {
+                actives += 1;
+            }
+        }
+        assert!(dyn_.is_stable());
+        assert_eq!(actives as usize, dyn_.matching().edge_count());
+        assert!(
+            actives <= b_total / 2,
+            "greedy schedule used {actives} active initiatives, bound {}",
+            b_total / 2
+        );
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! # Dynamics
 //!
-//! [`Dynamics`] simulates peers taking *initiatives* (best-mate, decremental
-//! or random scans, [`InitiativeStrategy`]); Theorem 1 guarantees
+//! [`Dynamics`] (the [`Engine`] over global-rank keys) simulates peers
+//! taking *initiatives* (best-mate, decremental or random scans,
+//! [`InitiativeStrategy`]); Theorem 1 guarantees
 //! convergence to the stable configuration, measured with the paper's
 //! [`distance::disorder`] metric. [`ChurnProcess`] adds continuous
 //! departures/arrivals (Figure 3).
@@ -35,7 +36,7 @@
 //! loop: [`RankedAcceptance`] stores adjacency in CSR form with a parallel
 //! per-neighbour [`Rank`] array and binary-search membership;
 //! [`Matching`] keeps each mate list as parallel `(NodeId, Rank)` arrays so
-//! worst-mate ranks are `O(1)` reads; [`Dynamics`] maintains per-peer
+//! worst-mate ranks are `O(1)` reads; [`Engine`] maintains per-peer
 //! acceptance thresholds incrementally, making each candidate probe two
 //! array reads and a compare. The pre-optimization implementations live on
 //! in [`mod@reference`] for differential testing and benchmarking.
@@ -70,7 +71,6 @@ mod capacity;
 mod churn;
 pub mod cluster;
 pub mod distance;
-mod dynamics;
 pub mod engine;
 mod error;
 pub mod gossip;
@@ -83,8 +83,7 @@ mod stable;
 pub use accept::RankedAcceptance;
 pub use capacity::{standard_normal, Capacities, CapacityDistribution};
 pub use churn::{ChurnEvent, ChurnProcess};
-pub use dynamics::Dynamics;
-pub use engine::{DynamicsDriver, Engine, InitiativeOutcome, InitiativeStrategy, PreferenceKeys};
+pub use engine::{Dynamics, Engine, InitiativeOutcome, InitiativeStrategy, PreferenceKeys};
 pub use error::ModelError;
 pub use matching::Matching;
 pub use prefs::{GeneralDynamics, PrefAcceptance};

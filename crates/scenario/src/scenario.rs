@@ -9,8 +9,8 @@ use strat_bittorrent::universe::{
 use strat_bittorrent::{EventEngine, EventTiming, FaultPlan, Swarm, SwarmConfig};
 use strat_core::{
     stable_configuration, stable_configuration_complete, stable_configuration_masked, Capacities,
-    ChurnProcess, Dynamics, DynamicsDriver, GeneralDynamics, GlobalRanking, InitiativeOutcome,
-    InitiativeStrategy, Matching, RankedAcceptance,
+    ChurnProcess, Engine, GlobalRanking, InitiativeStrategy, Matching, PrefAcceptance,
+    PreferenceKeys, Rank, RankedAcceptance,
 };
 use strat_graph::{Graph, NodeId};
 
@@ -19,239 +19,98 @@ use crate::{
     TopologyModel,
 };
 
-/// The dynamics backend a scenario's preference axis selects — both arms
-/// are instantiations of the same incremental engine
-/// (`strat_core::engine::Engine`).
+/// The preference-key table a scenario's preference axis selects — the
+/// key type of the scenario layer's dynamics engine
+/// ([`ScenarioDynamics`]).
 ///
 /// * [`PreferenceModel::GlobalRank`] and
 ///   [`PreferenceModel::GossipEstimated`] are global-ranking utilities:
-///   they build the **ranked** arm ([`Dynamics`]), whose behaviour (scans,
-///   RNG consumption, disorder metrics) is exactly the historical ranked
-///   path;
+///   they build the **ranked** arm, whose behaviour (scans, RNG
+///   consumption, disorder metrics) is exactly the historical ranked path
+///   of [`strat_core::Dynamics`];
 /// * [`PreferenceModel::Latency`] and
-///   [`PreferenceModel::BandedRankLatency`] build the **general** arm
-///   ([`GeneralDynamics`]) over a per-neighborhood preference-key table —
-///   the same threshold + clean/dirty machinery, now driven by the actual
-///   latency-flavoured preferences instead of silently degrading to the
-///   identity ranking.
-///
-/// The common driver surface is forwarded; backend-specific extras are
-/// reachable through [`as_ranked`](Self::as_ranked) /
-/// [`as_general`](Self::as_general).
+///   [`PreferenceModel::BandedRankLatency`] build the **general** arm over
+///   a per-neighborhood preference-key table, as
+///   [`strat_core::prefs::GeneralDynamics`] does — driven by the actual
+///   latency-flavoured preferences instead of an identity ranking.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
-pub enum ScenarioDynamics {
-    /// Global-ranking fast path.
-    Ranked(Dynamics),
-    /// Generalized-preference fast path.
-    General(GeneralDynamics),
+pub enum ScenarioKeys {
+    /// Global-ranking keys.
+    Ranked(RankedAcceptance),
+    /// Generalized-preference keys.
+    General(PrefAcceptance),
 }
 
-impl ScenarioDynamics {
-    /// The ranked backend, if this scenario runs on it.
+impl ScenarioKeys {
+    /// The ranked table, if this scenario runs on it.
     #[must_use]
-    pub fn as_ranked(&self) -> Option<&Dynamics> {
+    pub fn as_ranked(&self) -> Option<&RankedAcceptance> {
         match self {
-            ScenarioDynamics::Ranked(d) => Some(d),
-            ScenarioDynamics::General(_) => None,
+            ScenarioKeys::Ranked(acc) => Some(acc),
+            ScenarioKeys::General(_) => None,
         }
     }
 
-    /// The generalized backend, if this scenario runs on it.
+    /// The generalized table, if this scenario runs on it.
     #[must_use]
-    pub fn as_general(&self) -> Option<&GeneralDynamics> {
+    pub fn as_general(&self) -> Option<&PrefAcceptance> {
         match self {
-            ScenarioDynamics::Ranked(_) => None,
-            ScenarioDynamics::General(d) => Some(d),
-        }
-    }
-
-    /// Number of peers (present or not).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.node_count(),
-            ScenarioDynamics::General(d) => d.node_count(),
-        }
-    }
-
-    /// Number of present peers.
-    #[must_use]
-    pub fn present_count(&self) -> usize {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.present_count(),
-            ScenarioDynamics::General(d) => d.present_count(),
-        }
-    }
-
-    /// Whether peer `v` is present.
-    #[must_use]
-    pub fn is_present(&self, v: NodeId) -> bool {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.is_present(v),
-            ScenarioDynamics::General(d) => d.is_present(v),
-        }
-    }
-
-    /// Current configuration.
-    #[must_use]
-    pub fn matching(&self) -> &Matching {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.matching(),
-            ScenarioDynamics::General(d) => d.matching(),
-        }
-    }
-
-    /// Capacities in force.
-    #[must_use]
-    pub fn capacities(&self) -> &Capacities {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.capacities(),
-            ScenarioDynamics::General(d) => d.capacities(),
-        }
-    }
-
-    /// Total initiatives taken so far.
-    #[must_use]
-    pub fn initiative_count(&self) -> u64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.initiative_count(),
-            ScenarioDynamics::General(d) => d.initiative_count(),
-        }
-    }
-
-    /// Active (configuration-changing) initiatives taken so far.
-    #[must_use]
-    pub fn active_initiative_count(&self) -> u64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.active_initiative_count(),
-            ScenarioDynamics::General(d) => d.active_initiative_count(),
-        }
-    }
-
-    /// Removes a peer (drops its collaborations). No-op if absent.
-    pub fn remove_peer(&mut self, v: NodeId) {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.remove_peer(v),
-            ScenarioDynamics::General(d) => d.remove_peer(v),
-        }
-    }
-
-    /// Re-inserts an absent peer with no mates. No-op if present.
-    pub fn insert_peer(&mut self, v: NodeId) {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.insert_peer(v),
-            ScenarioDynamics::General(d) => d.insert_peer(v),
-        }
-    }
-
-    /// Performs one initiative by a uniformly random present peer.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.step(rng),
-            ScenarioDynamics::General(d) => d.step(rng),
-        }
-    }
-
-    /// Runs `n` initiatives (one base unit). Returns the active count.
-    pub fn run_base_unit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.run_base_unit(rng),
-            ScenarioDynamics::General(d) => d.run_base_unit(rng),
-        }
-    }
-
-    /// Has peer `p` take one initiative with the configured strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn initiative<R: Rng + ?Sized>(&mut self, p: NodeId, rng: &mut R) -> InitiativeOutcome {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.initiative(p, rng),
-            ScenarioDynamics::General(d) => d.initiative(p, rng),
-        }
-    }
-
-    /// Whether the current configuration is stable for the present peers.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.is_stable(),
-            ScenarioDynamics::General(d) => d.is_stable(),
-        }
-    }
-
-    /// Disorder of the current configuration: distance to the (memoized)
-    /// instant stable configuration of the present peers — the paper's §3
-    /// metric on the ranked arm, the key-space analogue on the general arm.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a general-arm instance admitting no stable configuration
-    /// (impossible for the cycle-free preference models scenarios expose).
-    #[must_use]
-    pub fn disorder(&self) -> f64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.disorder(),
-            ScenarioDynamics::General(d) => d.disorder(),
-        }
-    }
-
-    /// Disorder under the generalized b-matching metric (the ranked arm's
-    /// rank-label metric / the general arm's key-space metric) — use this
-    /// instead of [`disorder`](Self::disorder) when capacities exceed 1.
-    ///
-    /// # Panics
-    ///
-    /// See [`disorder`](Self::disorder).
-    #[must_use]
-    pub fn disorder_general(&self) -> f64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.disorder_general(),
-            ScenarioDynamics::General(d) => d.disorder(),
-        }
-    }
-
-    /// The instant stable configuration over present peers (memoized).
-    ///
-    /// # Panics
-    ///
-    /// See [`disorder`](Self::disorder).
-    #[must_use]
-    pub fn instant_stable(&self) -> Matching {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.instant_stable(),
-            ScenarioDynamics::General(d) => d.instant_stable(),
+            ScenarioKeys::Ranked(_) => None,
+            ScenarioKeys::General(keys) => Some(keys),
         }
     }
 }
 
-impl DynamicsDriver for ScenarioDynamics {
+impl PreferenceKeys for ScenarioKeys {
     fn node_count(&self) -> usize {
-        ScenarioDynamics::node_count(self)
+        match self {
+            ScenarioKeys::Ranked(acc) => PreferenceKeys::node_count(acc),
+            ScenarioKeys::General(keys) => keys.node_count(),
+        }
     }
 
-    fn present_count(&self) -> usize {
-        ScenarioDynamics::present_count(self)
+    #[inline]
+    fn row(&self, v: NodeId) -> (&[NodeId], &[Rank]) {
+        match self {
+            ScenarioKeys::Ranked(acc) => acc.row(v),
+            ScenarioKeys::General(keys) => keys.row(v),
+        }
     }
 
-    fn is_present(&self, v: NodeId) -> bool {
-        ScenarioDynamics::is_present(self, v)
+    #[inline]
+    fn rev_key(&self, v: NodeId, k: usize) -> Rank {
+        match self {
+            ScenarioKeys::Ranked(acc) => acc.rev_key(v, k),
+            ScenarioKeys::General(keys) => keys.rev_key(v, k),
+        }
     }
 
-    fn remove_peer(&mut self, v: NodeId) {
-        ScenarioDynamics::remove_peer(self, v);
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        match self {
+            ScenarioKeys::Ranked(acc) => acc.instant_stable(caps, present),
+            ScenarioKeys::General(keys) => keys.instant_stable(caps, present),
+        }
     }
 
-    fn insert_peer(&mut self, v: NodeId) {
-        ScenarioDynamics::insert_peer(self, v);
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        match self {
+            ScenarioKeys::Ranked(acc) => acc.disorder(matching, stable),
+            ScenarioKeys::General(keys) => keys.disorder(matching, stable),
+        }
     }
 
-    fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        ScenarioDynamics::step(self, rng)
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        match self {
+            ScenarioKeys::Ranked(acc) => acc.disorder_general(matching, stable),
+            ScenarioKeys::General(keys) => keys.disorder_general(matching, stable),
+        }
     }
 }
+
+/// The dynamics engine a scenario builds: either arm of [`ScenarioKeys`]
+/// on the same incremental engine.
+pub type ScenarioDynamics = Engine<ScenarioKeys>;
 
 /// Swarm-backend parameters (the protocol knobs the abstract dynamics do
 /// not have). `peers` on the [`Scenario`] is the **leecher** count; seeds
@@ -580,10 +439,10 @@ impl Scenario {
     /// The initiative-process driver from the empty configuration,
     /// consuming the RNG in the order topology → preference → capacities.
     ///
-    /// The preference axis selects the backend (see [`ScenarioDynamics`]):
+    /// The preference axis selects the key table (see [`ScenarioKeys`]):
     /// global-ranking models build the ranked arm exactly as before;
-    /// latency-flavoured models now drive the generic engine instead of
-    /// degrading to an identity ranking.
+    /// latency-flavoured models build the general arm instead of degrading
+    /// to an identity ranking.
     ///
     /// # Errors
     ///
@@ -592,25 +451,15 @@ impl Scenario {
         &self,
         rng: &mut R,
     ) -> Result<ScenarioDynamics, ScenarioError> {
-        if self.preference.is_ranked() {
-            let acc = self.build_acceptance(rng)?;
-            let caps = self.build_capacities(rng)?;
-            Ok(ScenarioDynamics::Ranked(Dynamics::new(
-                acc,
-                caps,
-                self.strategy,
-            )?))
+        let keys = if self.preference.is_ranked() {
+            ScenarioKeys::Ranked(self.build_acceptance(rng)?)
         } else {
             let graph = self.build_graph(rng)?;
             let prefs = self.build_preferences(rng)?;
-            let caps = self.build_capacities(rng)?;
-            Ok(ScenarioDynamics::General(GeneralDynamics::new(
-                &graph,
-                &prefs,
-                caps,
-                self.strategy,
-            )?))
-        }
+            ScenarioKeys::General(PrefAcceptance::build(&graph, &prefs))
+        };
+        let caps = self.build_capacities(rng)?;
+        Ok(Engine::new(keys, caps, self.strategy)?)
     }
 
     /// The initiative-process driver started **at** the stable
@@ -636,23 +485,20 @@ impl Scenario {
             let acc = self.build_acceptance(rng)?;
             let caps = self.build_capacities(rng)?;
             let stable = stable_configuration(&acc, &caps)?;
-            Ok(ScenarioDynamics::Ranked(Dynamics::with_configuration(
-                acc,
+            Ok(Engine::with_configuration(
+                ScenarioKeys::Ranked(acc),
                 caps,
                 self.strategy,
                 stable,
-            )?))
+            )?)
         } else {
-            let mut built = self.build_dynamics(rng)?;
-            let ScenarioDynamics::General(ref mut dynamics) = built else {
-                unreachable!("non-ranked preference models build the general arm")
-            };
-            dynamics.settle().map_err(ScenarioError::Model)?;
+            let mut dynamics = self.build_dynamics(rng)?;
+            dynamics.settle()?;
             // Counter parity with the ranked arm, which jumps to stability
             // via Algorithm 1: a freshly built at-stable driver reports no
             // pre-existing initiative activity.
             dynamics.reset_initiative_counters();
-            Ok(built)
+            Ok(dynamics)
         }
     }
 
@@ -664,7 +510,7 @@ impl Scenario {
     pub fn build_churn<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-    ) -> Result<ChurnProcess<ScenarioDynamics>, ScenarioError> {
+    ) -> Result<ChurnProcess<ScenarioKeys>, ScenarioError> {
         let rate = self.churn.rate_per_step(self.peers)?;
         Ok(ChurnProcess::new(self.build_dynamics(rng)?, rate))
     }
@@ -713,15 +559,38 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section;
-    /// otherwise propagates component failures.
+    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section and
+    /// [`ScenarioError::InvalidParameter`] for a degenerate swarm (fewer
+    /// than two peers, no piece, no unchoke slot, or a seed upload, piece
+    /// size or round length that is not finite and positive); otherwise
+    /// propagates component failures.
     pub fn build_swarm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Swarm, ScenarioError> {
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
-        if !(params.seed_upload_kbps.is_finite() && params.seed_upload_kbps > 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                what: "seed upload",
-                reason: format!("must be positive kbps, got {}", params.seed_upload_kbps),
-            });
+        // What `SwarmConfigBuilder::build` asserts, as typed errors.
+        let invalid = |what, reason| Err(ScenarioError::InvalidParameter { what, reason });
+        if self.peers + params.seeds < 2 {
+            return invalid(
+                "swarm size",
+                format!(
+                    "need at least two peers, got {} leechers + {} seeds",
+                    self.peers, params.seeds
+                ),
+            );
+        }
+        if params.piece_count == 0 {
+            return invalid("piece count", "need at least one piece".to_string());
+        }
+        if params.tft_slots + params.optimistic_slots == 0 {
+            return invalid("unchoke slots", "need at least one slot".to_string());
+        }
+        for (what, value) in [
+            ("seed upload", params.seed_upload_kbps),
+            ("piece size", params.piece_size_kbit),
+            ("round length", params.round_seconds),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return invalid(what, format!("must be finite and positive, got {value}"));
+            }
         }
         let mut uploads = self.capacity.upload_bandwidths(self.peers, rng)?;
         uploads.extend(std::iter::repeat_n(params.seed_upload_kbps, params.seeds));
@@ -999,14 +868,17 @@ mod tests {
         let graph = scenario.topology.build_graph(120, &mut b).unwrap();
         let ranking = scenario.preference.build_ranking(120, &mut b);
         let caps = scenario.capacity.slot_capacities(120, &mut b).unwrap();
-        let by_hand = Dynamics::new(
+        let by_hand = strat_core::Dynamics::new(
             RankedAcceptance::new(graph, ranking).unwrap(),
             caps,
             scenario.strategy,
         )
         .unwrap();
-        let built = built.as_ranked().expect("gossip runs the ranked arm");
-        assert_eq!(built.acceptance(), by_hand.acceptance());
+        let acc = built
+            .keys()
+            .as_ranked()
+            .expect("gossip runs the ranked arm");
+        assert_eq!(acc, by_hand.keys());
         assert_eq!(built.capacities(), by_hand.capacities());
     }
 
@@ -1424,8 +1296,7 @@ mod tests {
             });
         let a = scenario.build_dynamics(&mut stream_rng(7, 3)).unwrap();
         let b = scenario.build_dynamics(&mut stream_rng(7, 3)).unwrap();
-        let (a, b) = (a.as_ranked().unwrap(), b.as_ranked().unwrap());
-        assert_eq!(a.acceptance(), b.acceptance());
+        assert_eq!(a.keys().as_ranked().unwrap(), b.keys().as_ranked().unwrap());
         assert_eq!(a.capacities(), b.capacities());
         let c = scenario.build_dynamics(&mut stream_rng(7, 4)).unwrap();
         assert_ne!(a.capacities(), c.capacities());
@@ -1438,7 +1309,7 @@ mod tests {
             .with_capacity(CapacityModel::Constant { value: 2.0 })
             .with_preference(PreferenceModel::Latency { span: 500.0 });
         let built = scenario.build_dynamics(&mut rng(9)).unwrap();
-        assert!(built.as_general().is_some());
+        assert!(built.keys().as_general().is_some());
         assert_eq!(built.node_count(), 60);
         // Deterministic: same stream, same instance.
         let mut a = scenario.build_dynamics(&mut rng(9)).unwrap();
@@ -1462,7 +1333,7 @@ mod tests {
                 span: 300.0,
             });
         let built = scenario.build_dynamics_at_stable(&mut rng(4)).unwrap();
-        assert!(built.as_general().is_some());
+        assert!(built.keys().as_general().is_some());
         assert!(built.is_stable());
         assert_eq!(built.disorder(), 0.0);
         // Counter parity with the ranked arm: building at-stable reports no
@@ -1484,7 +1355,7 @@ mod tests {
             churn.run_base_unit(&mut r);
         }
         assert!(churn.event_count() > 0);
-        assert!(churn.dynamics().as_general().is_some());
+        assert!(churn.dynamics().keys().as_general().is_some());
         // Population pinned at n or n - 1 by replacement churn.
         assert!((39..=40).contains(&churn.dynamics().present_count()));
         // Disorder reads cleanly on the general arm under churn.

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use strat_scenario::{
     ArrivalProcess, BehaviorMix, CapacityModel, ChurnModel, DepartureRules, FaultPlan, FaultWindow,
-    PreferenceModel, Scenario, SessionConfig, SwarmParams, TopologyModel,
+    PreferenceModel, Scenario, ScenarioError, SessionConfig, SwarmParams, TopologyModel,
 };
 
 /// A corpus of realistic encodings to mutate — one per structural shape
@@ -198,5 +198,46 @@ fn hostile_literals_are_typed_errors() {
               "faults":{"crash_prob":[]}}}"#,
     ] {
         assert!(Scenario::from_json(input).is_err(), "accepted: {input}");
+    }
+}
+
+/// Swarm fields that parse but describe no swarm: each must fail
+/// `build_swarm` with a typed error instead of panicking in the swarm
+/// configuration builder.
+#[test]
+fn degenerate_swarm_fields_are_typed_build_errors() {
+    let valid = Scenario::new("fuzz-degenerate", 6)
+        .with_swarm(SwarmParams {
+            seeds: 0,
+            ..SwarmParams::default()
+        })
+        .to_json();
+    assert!(Scenario::from_json(&valid)
+        .unwrap()
+        .build_swarm(&mut strat_scenario::stream_rng(1, 0))
+        .is_ok());
+    for (field, degenerate) in [
+        ("\"peers\":6", "\"peers\":1"),
+        ("\"piece_count\":256", "\"piece_count\":0"),
+        ("\"piece_size_kbit\":2048", "\"piece_size_kbit\":0"),
+        ("\"piece_size_kbit\":2048", "\"piece_size_kbit\":-3.5"),
+        ("\"piece_size_kbit\":2048", "\"piece_size_kbit\":1e400"),
+        ("\"round_seconds\":10", "\"round_seconds\":0"),
+        ("\"round_seconds\":10", "\"round_seconds\":1e400"),
+        ("\"seed_upload_kbps\":1000", "\"seed_upload_kbps\":0"),
+        (
+            "\"tft_slots\":3,\"optimistic_slots\":1",
+            "\"tft_slots\":0,\"optimistic_slots\":0",
+        ),
+    ] {
+        assert!(valid.contains(field), "{field} not in {valid}");
+        let json = valid.replacen(field, degenerate, 1);
+        let scenario = Scenario::from_json(&json).unwrap_or_else(|e| panic!("{degenerate}: {e}"));
+        let built = scenario.build_swarm(&mut strat_scenario::stream_rng(1, 0));
+        assert!(
+            matches!(built, Err(ScenarioError::InvalidParameter { .. })),
+            "{degenerate}: {:?}",
+            built.err()
+        );
     }
 }

@@ -226,12 +226,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, torrents, skew)
 }
 
-/// Runs the multi-swarm sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the torrent-count × popularity-skew sweep derived from an
 /// arbitrary base scenario (which must carry `swarm.churn` and
 /// `swarm.universe`).
@@ -445,7 +439,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 

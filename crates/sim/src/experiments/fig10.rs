@@ -17,12 +17,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_capacity(CapacityModel::SaroiuByRank)
 }
 
-/// Runs the Figure 10 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 10 kernel on an arbitrary base scenario (which must
 /// use a Saroiu capacity model).
 #[must_use]
@@ -91,7 +85,8 @@ mod tests {
 
     #[test]
     fn percentiles_are_monotone() {
-        let result = run(&ExperimentContext::default());
+        let ctx = ExperimentContext::default();
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         for w in result.rows.windows(2) {
             assert!(w[1][0] >= w[0][0]);

@@ -24,12 +24,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_swarm(SwarmParams::default())
 }
 
-/// Runs the Figure 11 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 11 kernel on an arbitrary base scenario (Saroiu
 /// capacities; `b₀` read from the swarm section's TFT slots).
 #[must_use]
@@ -134,7 +128,7 @@ mod tests {
             quick: true,
             seed: 19,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         // x axis increasing.
         for w in result.rows.windows(2) {

@@ -21,12 +21,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     common::one_matching_scenario("fig2", 1000, 10.0).with_seed(ctx.seed)
 }
 
-/// Runs the Figure 2 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 2 kernel on an arbitrary base scenario.
 #[must_use]
 pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
@@ -127,7 +121,7 @@ mod tests {
             quick: true,
             seed: 3,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert_eq!(result.rows.len(), 11);
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }

@@ -22,12 +22,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_churn(ChurnModel::Rate { rate: 0.03 })
 }
 
-/// Runs the Figure 3 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 3 kernel on an arbitrary base scenario; the scenario's
 /// churn rate anchors the sweep `rate × {1, 1/3, 1/10, 1/60, 0}`.
 #[must_use]
@@ -148,7 +142,7 @@ mod tests {
             quick: true,
             seed: 5,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert_eq!(result.rows.len(), 21);
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }

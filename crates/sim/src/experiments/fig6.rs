@@ -26,12 +26,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         })
 }
 
-/// Runs the Figure 6 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 6 kernel on an arbitrary base scenario (the scenario's
 /// `b̄` anchors the sweep).
 #[must_use]
@@ -138,7 +132,7 @@ mod tests {
             quick: true,
             seed: 11,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert_eq!(result.rows.len(), 15);
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }

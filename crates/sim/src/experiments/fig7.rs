@@ -19,12 +19,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_topology(TopologyModel::ErdosRenyiEdgeProbability { p: 0.5 })
 }
 
-/// Runs the Figure 7 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 7 kernel on an arbitrary base scenario.
 #[must_use]
 pub fn run_scenario(_ctx: &ExperimentContext, _scenario: &Scenario) -> ExperimentResult {
@@ -92,7 +86,8 @@ mod tests {
 
     #[test]
     fn closed_forms_verified() {
-        let result = run(&ExperimentContext::default());
+        let ctx = ExperimentContext::default();
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         assert_eq!(result.rows.len(), 19);
     }

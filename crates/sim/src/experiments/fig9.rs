@@ -28,12 +28,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_capacity(CapacityModel::Constant { value: 2.0 })
 }
 
-/// Runs the Figure 9 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
-}
-
 /// Runs the Figure 9 kernel on an arbitrary base scenario.
 #[must_use]
 pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
@@ -155,7 +149,7 @@ mod tests {
             quick: true,
             seed: 17,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx));
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

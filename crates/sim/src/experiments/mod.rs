@@ -1,13 +1,14 @@
-//! One module per paper artifact. Each exposes three entry points wired
+//! One module per paper artifact. Each exposes two entry points wired
 //! into the [`runner`](crate::runner) registry:
 //!
 //! * `preset(&ExperimentContext) -> Scenario` — the named declarative
 //!   scenario for the figure (what `experiments scenarios --dump` writes);
 //! * `run_scenario(&ExperimentContext, &Scenario) -> ExperimentResult` —
 //!   the measurement kernel, driven entirely by the scenario (sweeps are
-//!   expressed as `with_*` variants of it);
-//! * `run(&ExperimentContext) -> ExperimentResult` — shorthand for
-//!   `run_scenario(ctx, &preset(ctx))`.
+//!   expressed as `with_*` variants of it).
+//!
+//! [`ExperimentEntry::run`](crate::runner::ExperimentEntry::run) composes
+//! the two: `run_scenario(ctx, &preset(ctx))`.
 //!
 //! All simulation state is instantiated through the scenario layer
 //! (`strat-scenario`); experiment modules never construct `Dynamics` or

@@ -44,7 +44,7 @@
 //! use strat_sim::runner::{self, ExperimentContext};
 //!
 //! let entry = runner::find("fig7").expect("registered");
-//! let result = (entry.run)(&ExperimentContext { quick: true, seed: 1 });
+//! let result = entry.run(&ExperimentContext { quick: true, seed: 1 });
 //! assert!(result.all_passed());
 //! ```
 

@@ -109,9 +109,6 @@ impl ExperimentResult {
     }
 }
 
-/// An experiment entry point.
-pub type ExperimentFn = fn(&ExperimentContext) -> ExperimentResult;
-
 /// The named declarative scenario of a paper figure.
 pub type PresetFn = fn(&ExperimentContext) -> strat_scenario::Scenario;
 
@@ -125,12 +122,18 @@ pub struct ExperimentEntry {
     pub id: &'static str,
     /// One-line description.
     pub description: &'static str,
-    /// Entry point on the entry's own preset (`run_scenario ∘ preset`).
-    pub run: ExperimentFn,
     /// The figure's named scenario preset.
     pub preset: PresetFn,
     /// The measurement kernel for an arbitrary (e.g. file-loaded) scenario.
     pub run_scenario: ScenarioRunFn,
+}
+
+impl ExperimentEntry {
+    /// Runs the experiment on its own preset (`run_scenario ∘ preset`).
+    #[must_use]
+    pub fn run(&self, ctx: &ExperimentContext) -> ExperimentResult {
+        (self.run_scenario)(ctx, &(self.preset)(ctx))
+    }
 }
 
 macro_rules! entry {
@@ -138,7 +141,6 @@ macro_rules! entry {
         ExperimentEntry {
             id: $id,
             description: $description,
-            run: crate::experiments::$module::run,
             preset: crate::experiments::$module::preset,
             run_scenario: crate::experiments::$module::run_scenario,
         }
@@ -294,7 +296,7 @@ pub fn run_parallel(
 ) -> Vec<(ExperimentResult, f64)> {
     strat_par::par_map(entries, jobs, |_, entry| {
         let start = std::time::Instant::now();
-        let result = (entry.run)(ctx);
+        let result = entry.run(ctx);
         (result, start.elapsed().as_secs_f64())
     })
 }
@@ -344,7 +346,7 @@ mod tests {
             .iter()
             .map(|id| find(id).expect("registered"))
             .collect();
-        let sequential: Vec<ExperimentResult> = entries.iter().map(|e| (e.run)(&ctx)).collect();
+        let sequential: Vec<ExperimentResult> = entries.iter().map(|e| e.run(&ctx)).collect();
         for jobs in [1usize, 2, 8] {
             let parallel = run_parallel(&entries, &ctx, jobs);
             assert_eq!(parallel.len(), sequential.len());

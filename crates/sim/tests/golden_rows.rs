@@ -77,7 +77,7 @@ fn rows_match_pre_migration_goldens() {
     let print = std::env::var("GOLDEN_PRINT").is_ok();
     let mut failures = Vec::new();
     for entry in runner::registry() {
-        let result = (entry.run)(&ctx);
+        let result = entry.run(&ctx);
         let fp = fingerprint(&result.rows);
         if print {
             println!("    (\"{}\", 0x{fp:016x}),", entry.id);

@@ -111,7 +111,7 @@ fn run_scenario_on_parsed_preset_reproduces_run() {
     for entry in runner::registry() {
         let preset = (entry.preset)(&ctx);
         let parsed = Scenario::from_json(&preset.to_json()).expect("parses");
-        let direct = (entry.run)(&ctx);
+        let direct = entry.run(&ctx);
         let via_json = (entry.run_scenario)(&ctx, &parsed);
         assert_eq!(direct.columns, via_json.columns, "{} columns", entry.id);
         assert_eq!(direct.rows, via_json.rows, "{} rows", entry.id);
