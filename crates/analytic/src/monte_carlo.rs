@@ -18,12 +18,12 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_core::{stable_configuration, Capacities, GlobalRanking, RankedAcceptance};
 use strat_graph::{generators, NodeId};
 
 /// Configuration of a Monte-Carlo estimation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MonteCarloConfig {
     /// Number of peers.
     pub n: usize,
@@ -56,7 +56,7 @@ impl MonteCarloConfig {
 }
 
 /// Per-choice mate-rank histograms for one observed peer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChoiceHistogram {
     /// The observed peer (0-based rank).
     pub peer: usize,

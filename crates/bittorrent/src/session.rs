@@ -268,7 +268,7 @@ impl Default for SessionConfig {
 impl SessionConfig {
     /// Checks every configuration constraint [`Session::new`] enforces —
     /// the **single source of truth** both the panicking constructor and
-    /// the scenario layer's error path (`Scenario::build_session`) share,
+    /// the scenario layer's error path (`Scenario::validate`) share,
     /// so the two can never drift.
     ///
     /// # Errors
@@ -319,7 +319,7 @@ impl SessionConfig {
 /// the slot had when the handle was issued. A handle goes stale the
 /// moment its slot is recycled by a later arrival, so sessions can keep
 /// references across churn without aliasing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct SessionPeerId {
     /// Arena slot.
     pub slot: u32,
@@ -328,7 +328,7 @@ pub struct SessionPeerId {
 }
 
 /// Why a peer left the swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DepartReason {
     /// Left right after completing (`leave_on_completion`).
     Completed,
@@ -348,7 +348,7 @@ pub enum DepartReason {
 }
 
 /// Cumulative session statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SessionStats {
     /// Peers admitted by the arrival process.
     pub arrivals: u64,
@@ -393,7 +393,7 @@ impl SessionStats {
 
 /// Completion summary of one arrival wave (see
 /// [`Session::cohort_completions`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CohortCompletion {
     /// First round of the cohort's arrival window.
     pub window_start: u64,

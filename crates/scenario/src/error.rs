@@ -44,7 +44,7 @@ pub enum ScenarioError {
     Graph(GraphError),
     /// The underlying matching-model construction failed.
     Model(ModelError),
-    /// JSON parsing or schema walking failed.
+    /// JSON parsing or decoding failed.
     Parse(String),
 }
 
@@ -105,8 +105,8 @@ impl From<ModelError> for ScenarioError {
     }
 }
 
-impl From<serde_json::ParseError> for ScenarioError {
-    fn from(e: serde_json::ParseError) -> Self {
+impl From<serde_json::Error> for ScenarioError {
+    fn from(e: serde_json::Error) -> Self {
         ScenarioError::Parse(e.to_string())
     }
 }

@@ -215,6 +215,17 @@ impl UniverseParams {
             .map(|t| ((t + 1) as f64).powf(-self.popularity_skew))
             .collect()
     }
+
+    /// The engine configuration this section describes.
+    fn config(&self) -> UniverseConfig {
+        UniverseConfig {
+            membership: self.membership,
+            split: self.split,
+            class_upload_kbps: self.class_upload_kbps.clone(),
+            popularity: self.popularity_weights(),
+            universe_seed: self.universe_seed,
+        }
+    }
 }
 
 impl Default for SwarmParams {
@@ -552,20 +563,24 @@ impl Scenario {
         Ok(stable_configuration_masked(&acc, &caps, present)?)
     }
 
-    /// The protocol-level swarm: `peers` leechers plus the swarm section's
-    /// seeds, upload bandwidths from the capacity model (RNG-consuming
-    /// models draw from `rng`), overlay degree from the topology model,
-    /// behaviors from the mix.
+    /// Checks the swarm section's values, and those of every sub-section
+    /// it carries (churn, faults, timing, universe), without drawing any
+    /// randomness. Every swarm-side `build_*` method calls it after finding
+    /// the sections it needs; callers that read section values directly
+    /// (experiment kernels feeding a fluid model) call it after parsing.
+    /// A scenario without a swarm section always passes.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section and
-    /// [`ScenarioError::InvalidParameter`] for a degenerate swarm (fewer
-    /// than two peers, no piece, no unchoke slot, or a seed upload, piece
-    /// size or round length that is not finite and positive); otherwise
-    /// propagates component failures.
-    pub fn build_swarm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Swarm, ScenarioError> {
-        let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
+    /// Returns [`ScenarioError::InvalidParameter`] for the first bad value:
+    /// a degenerate swarm (fewer than two peers, no piece, no unchoke slot,
+    /// or a seed upload, piece size or round length that is not finite and
+    /// positive), or a sub-section its engine's own `validate` rejects
+    /// (plus a popularity skew that is not a finite non-negative exponent).
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let Some(params) = &self.swarm else {
+            return Ok(());
+        };
         // What `SwarmConfigBuilder::build` asserts, as typed errors.
         let invalid = |what, reason| Err(ScenarioError::InvalidParameter { what, reason });
         if self.peers + params.seeds < 2 {
@@ -592,6 +607,59 @@ impl Scenario {
                 return invalid(what, format!("must be finite and positive, got {value}"));
             }
         }
+        // The engines' own constraint sets (the single sources of truth
+        // their constructors assert), surfaced as typed errors so malformed
+        // JSON fails cleanly instead of panicking.
+        let section = |what| move |reason| ScenarioError::InvalidParameter { what, reason };
+        if let Some(churn) = &params.churn {
+            churn.validate().map_err(section("swarm churn"))?;
+        }
+        if let Some(faults) = &params.faults {
+            faults.validate().map_err(section("swarm faults"))?;
+        }
+        if let Some(timing) = &params.timing {
+            timing.validate().map_err(section("swarm timing"))?;
+        }
+        if let Some(universe) = &params.universe {
+            if !(universe.popularity_skew.is_finite() && universe.popularity_skew >= 0.0) {
+                return invalid(
+                    "swarm universe",
+                    format!(
+                        "popularity skew must be a finite non-negative exponent, got {}",
+                        universe.popularity_skew
+                    ),
+                );
+            }
+            universe
+                .config()
+                .validate(universe.torrents)
+                .map_err(section("swarm universe"))?;
+        }
+        Ok(())
+    }
+
+    /// The protocol-level swarm: `peers` leechers plus the swarm section's
+    /// seeds, upload bandwidths from the capacity model (RNG-consuming
+    /// models draw from `rng`), overlay degree from the topology model,
+    /// behaviors from the mix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section and
+    /// [`ScenarioError::InvalidParameter`] when [`validate`](Self::validate)
+    /// fails; otherwise propagates component failures.
+    pub fn build_swarm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Swarm, ScenarioError> {
+        let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
+        self.validate()?;
+        self.assemble_swarm(params, rng)
+    }
+
+    /// [`build_swarm`](Self::build_swarm) from a validated swarm section.
+    fn assemble_swarm<R: Rng + ?Sized>(
+        &self,
+        params: &SwarmParams,
+        rng: &mut R,
+    ) -> Result<Swarm, ScenarioError> {
         let mut uploads = self.capacity.upload_bandwidths(self.peers, rng)?;
         uploads.extend(std::iter::repeat_n(params.seed_upload_kbps, params.seeds));
         let behaviors = params.behavior.assign(self.peers, params.seeds)?;
@@ -622,9 +690,9 @@ impl Scenario {
     /// Returns [`ScenarioError::MissingSwarm`] /
     /// [`ScenarioError::MissingChurn`] without the respective sections,
     /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm (open
-    /// membership needs completions), an out-of-range probability or
-    /// arrival rate, a non-positive arrival capacity or a zero target
-    /// degree; otherwise propagates component failures.
+    /// membership needs completions) or when
+    /// [`validate`](Self::validate) fails; otherwise propagates component
+    /// failures.
     pub fn build_session<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Session, ScenarioError> {
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
         let churn = params.churn.as_ref().ok_or(ScenarioError::MissingChurn)?;
@@ -635,28 +703,10 @@ impl Scenario {
                     .to_string(),
             });
         }
-        // The engine's own constraint set ([`SessionConfig::validate`], the
-        // single source of truth `Session::new` asserts), surfaced as a
-        // [`ScenarioError`] so malformed JSON fails cleanly instead of
-        // panicking.
-        churn
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm churn",
-                reason,
-            })?;
-        // Same pattern for the fault plan: surface
-        // [`FaultPlan::validate`]'s constraint set as an error instead of
-        // letting [`Session::with_faults`] panic on malformed JSON. An
-        // absent section is the inert plan (bit-identical build).
+        self.validate()?;
+        let swarm = self.assemble_swarm(params, rng)?;
+        // An absent fault section is the inert plan (bit-identical build).
         let faults = params.faults.clone().unwrap_or_else(FaultPlan::none);
-        faults
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm faults",
-                reason,
-            })?;
-        let swarm = self.build_swarm(rng)?;
         Ok(Session::with_faults(swarm, churn.clone(), faults))
     }
 
@@ -671,10 +721,10 @@ impl Scenario {
     /// Returns [`ScenarioError::MissingSwarm`] /
     /// [`ScenarioError::MissingTiming`] without the respective sections,
     /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm, a
-    /// malformed timing or churn sub-section, or a swarm section that
-    /// combines `timing` with a fault plan (the fault plane is a
-    /// round-engine construct; the event engine does not consume it);
-    /// otherwise propagates component failures.
+    /// swarm section that combines `timing` with a fault plan (the fault
+    /// plane is a round-engine construct; the event engine does not
+    /// consume it), or when [`validate`](Self::validate) fails; otherwise
+    /// propagates component failures.
     pub fn build_event_engine<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -696,21 +746,8 @@ impl Scenario {
                     .to_string(),
             });
         }
-        timing
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm timing",
-                reason,
-            })?;
-        if let Some(churn) = &params.churn {
-            churn
-                .validate()
-                .map_err(|reason| ScenarioError::InvalidParameter {
-                    what: "swarm churn",
-                    reason,
-                })?;
-        }
-        let swarm = self.build_swarm(rng)?;
+        self.validate()?;
+        let swarm = self.assemble_swarm(params, rng)?;
         Ok(EventEngine::new(swarm, timing, params.churn.clone()))
     }
 
@@ -733,11 +770,11 @@ impl Scenario {
     /// [`ScenarioError::MissingUniverse`] / [`ScenarioError::MissingChurn`]
     /// without the respective sections, and
     /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm, a
-    /// malformed churn or universe sub-section, a compacting churn
-    /// section (compaction invalidates the universe's cross-swarm peer
-    /// handles), or a swarm section combining `universe` with `faults` or
-    /// `timing` (both are single-session constructs); otherwise
-    /// propagates component failures.
+    /// compacting churn section (compaction invalidates the universe's
+    /// cross-swarm peer handles), a swarm section combining `universe`
+    /// with `faults` or `timing` (both are single-session constructs), or
+    /// when [`validate`](Self::validate) fails; otherwise propagates
+    /// component failures.
     pub fn build_universe<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Universe, ScenarioError> {
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
         let universe = params
@@ -776,43 +813,16 @@ impl Scenario {
                     .to_string(),
             });
         }
-        churn
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm churn",
-                reason,
-            })?;
-        if !(universe.popularity_skew.is_finite() && universe.popularity_skew >= 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason: format!(
-                    "popularity skew must be a finite non-negative exponent, got {}",
-                    universe.popularity_skew
-                ),
-            });
-        }
-        let weights = universe.popularity_weights();
-        let config = UniverseConfig {
-            membership: universe.membership,
-            split: universe.split,
-            class_upload_kbps: universe.class_upload_kbps.clone(),
-            popularity: weights.clone(),
-            universe_seed: universe.universe_seed,
-        };
-        config
-            .validate(universe.torrents)
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason,
-            })?;
-        let total_weight: f64 = weights.iter().sum();
+        self.validate()?;
+        let config = universe.config();
+        let total_weight: f64 = config.popularity.iter().sum();
         let mut sessions = Vec::with_capacity(universe.torrents);
-        for (t, weight) in weights.iter().enumerate() {
-            let mut per_torrent = self.clone();
-            let mut swarm_params = params.clone();
-            swarm_params.swarm_seed = derive_seed(params.swarm_seed, t as u64);
-            per_torrent.swarm = Some(swarm_params);
-            let swarm = per_torrent.build_swarm(rng)?;
+        for (t, weight) in config.popularity.iter().enumerate() {
+            let swarm_params = SwarmParams {
+                swarm_seed: derive_seed(params.swarm_seed, t as u64),
+                ..params.clone()
+            };
+            let swarm = self.assemble_swarm(&swarm_params, rng)?;
             let mut session_config = churn.clone();
             session_config.session_seed = derive_seed(churn.session_seed, t as u64);
             if let ArrivalProcess::Poisson { rate } = session_config.arrival {

@@ -8,7 +8,7 @@
 //!   byte flips) — structurally close to valid, the regime where sloppy
 //!   `unwrap`s hide;
 //! * structure-aware token swaps (renaming keys/variants, number →
-//!   string, deleting fields), which exercise every `require`/type-check
+//!   string, deleting fields), which exercise every missing-key/type-check
 //!   arm.
 //!
 //! Valid inputs must keep round-tripping, so the fuzzing can't pass by
@@ -16,8 +16,9 @@
 
 use proptest::prelude::*;
 use strat_scenario::{
-    ArrivalProcess, BehaviorMix, CapacityModel, ChurnModel, DepartureRules, FaultPlan, FaultWindow,
-    PreferenceModel, Scenario, ScenarioError, SessionConfig, SwarmParams, TopologyModel,
+    ArrivalProcess, BehaviorMix, CapacityModel, ChurnModel, DepartureRules, EventTiming, FaultPlan,
+    FaultWindow, PreferenceModel, Scenario, ScenarioError, SessionConfig, SwarmParams,
+    TopologyModel, UniverseParams,
 };
 
 /// A corpus of realistic encodings to mutate — one per structural shape
@@ -198,6 +199,94 @@ fn hostile_literals_are_typed_errors() {
               "faults":{"crash_prob":[]}}}"#,
     ] {
         assert!(Scenario::from_json(input).is_err(), "accepted: {input}");
+    }
+    // One-token mutations of a valid encoding, each a typed parse error:
+    // out-of-range integers (2⁶⁴ must not saturate to `u64::MAX`), a
+    // fractional count, wrong arities and shapes, a string for a number.
+    let valid = Scenario::new("fuzz-strict", 3)
+        .with_topology(TopologyModel::Explicit {
+            edges: vec![(0, 1), (1, 2)],
+        })
+        .with_swarm(SwarmParams {
+            churn: Some(SessionConfig {
+                arrival: ArrivalProcess::Burst { round: 5, count: 7 },
+                ..SessionConfig::default()
+            }),
+            ..SwarmParams::default()
+        })
+        .to_json();
+    assert!(Scenario::from_json(&valid).is_ok());
+    for (from, to) in [
+        ("\"seed\":2007", "\"seed\":18446744073709551616"),
+        ("\"peers\":3", "\"peers\":18446744073709551616"),
+        ("\"peers\":3", "\"peers\":1.5"),
+        (
+            "\"optimistic_period\":3",
+            "\"optimistic_period\":4294967296",
+        ),
+        ("\"count\":7", "\"count\":4294967296"),
+        ("[[0,1],", "[[0,1,2],"),
+        (
+            "\"capacity\":{\"Constant\":{\"value\":1}}",
+            "\"capacity\":{\"Constant\":{\"value\":1},\"SaroiuByRank\":null}",
+        ),
+        ("\"seed_upload_kbps\":1000", "\"seed_upload_kbps\":\"1000\""),
+    ] {
+        assert!(valid.contains(from), "{from} not in {valid}");
+        let json = valid.replacen(from, to, 1);
+        let parsed = Scenario::from_json(&json);
+        assert!(
+            matches!(parsed, Err(ScenarioError::Parse(_))),
+            "{to}: {parsed:?}"
+        );
+    }
+}
+
+/// Values that parse but that no engine can run, one per swarm-side
+/// section: [`Scenario::validate`] must reject each with a typed error
+/// before any experiment kernel reads the section (the `--scenario` path
+/// validates right after parsing).
+#[test]
+fn degenerate_section_values_fail_validation() {
+    let session = SessionConfig {
+        arrival: ArrivalProcess::Poisson { rate: 2.0 },
+        ..SessionConfig::default()
+    };
+    let churn = SwarmParams {
+        churn: Some(session.clone()),
+        ..SwarmParams::default()
+    };
+    let event = SwarmParams {
+        timing: Some(EventTiming::default()),
+        ..churn.clone()
+    };
+    let multi = SwarmParams {
+        universe: Some(UniverseParams::default()),
+        ..churn.clone()
+    };
+    let fluid = SwarmParams {
+        fluid_content: true,
+        ..SwarmParams::default()
+    };
+    for (swarm, from, to) in [
+        (&churn, "\"piece_size_kbit\":2048", "\"piece_size_kbit\":-5"),
+        (&event, "\"piece_count\":256", "\"piece_count\":0"),
+        (&multi, "\"piece_count\":256", "\"piece_count\":0"),
+        (&churn, "\"target_degree\":20", "\"target_degree\":0"),
+        (&fluid, "\"piece_count\":256", "\"piece_count\":0"),
+    ] {
+        let valid = Scenario::new("fuzz-validate", 20)
+            .with_swarm(swarm.clone())
+            .to_json();
+        assert!(valid.contains(from), "{from} not in {valid}");
+        let parsed = Scenario::from_json(&valid).expect("valid encoding parses");
+        assert_eq!(parsed.validate(), Ok(()));
+        let json = valid.replacen(from, to, 1);
+        let checked = Scenario::from_json(&json).and_then(|s| s.validate());
+        assert!(
+            matches!(checked, Err(ScenarioError::InvalidParameter { .. })),
+            "{to}: {checked:?}"
+        );
     }
 }
 

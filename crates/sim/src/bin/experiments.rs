@@ -166,13 +166,14 @@ fn scenario_command(args: &Args, path: &PathBuf) -> i32 {
             return 2;
         }
     };
-    let scenario = match strat_scenario::Scenario::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", path.display());
-            return 2;
-        }
-    };
+    let scenario =
+        match strat_scenario::Scenario::from_json(&text).and_then(|s| s.validate().map(|()| s)) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: {}: {e}", path.display());
+                return 2;
+            }
+        };
     let Some(entry) = runner::find(&scenario.experiment) else {
         eprintln!(
             "error: scenario `{}` binds to unknown experiment `{}` (try --list)",

@@ -49,7 +49,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         b0,
         realizations,
         seed: scenario.seed ^ 0x9,
-        threads: 16,
+        threads: strat_par::default_threads(),
     };
     let empirical = monte_carlo::estimate_choice_distribution(&cfg, peer);
 

@@ -1,9 +1,9 @@
 //! Experiment runner scaffolding: results, shape checks, registry.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Shared knobs for every experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExperimentContext {
     /// Reduced sizes/realizations for CI-speed runs.
     pub quick: bool,
@@ -22,7 +22,7 @@ impl Default for ExperimentContext {
 
 /// A machine-checked "shape criterion": the qualitative property of a paper
 /// figure/table that the reproduction must exhibit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Check {
     /// Short name of the criterion.
     pub name: String,
@@ -45,7 +45,7 @@ impl Check {
 
 /// The output of one experiment: a column-labeled numeric table plus the
 /// shape checks and free-form notes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentResult {
     /// Experiment id (`fig1`, `table1`, …) as used in DESIGN.md.
     pub id: String,

@@ -1,15 +1,23 @@
-//! Offline stand-in for `serde`.
+//! Offline stand-in for `serde`, JSON only.
 //!
-//! This workspace only ever serializes (experiment results to JSON files);
-//! it never deserializes. So [`Serialize`] is a direct-to-JSON trait with
-//! impls for the primitives and containers the workspace uses, and
-//! `#[derive(Serialize)]` (from the sibling `serde_derive` shim) generates
-//! externally-tagged JSON exactly like real serde's defaults.
-//! `#[derive(Deserialize)]` is accepted and expands to nothing.
+//! Writing: [`Serialize`] is a direct-to-JSON trait with impls for the
+//! primitives and containers the workspace uses, and `#[derive(Serialize)]`
+//! (from the sibling `serde_derive` shim) generates externally tagged JSON
+//! exactly like real serde's defaults.
+//!
+//! Reading: [`value`] parses a document into a dynamic [`Value`] tree, and
+//! [`Deserialize`] (see [`de`]) rebuilds typed values from it;
+//! `#[derive(Deserialize)]` generates the impls with upstream serde's
+//! rules for named structs and externally tagged enums.
 
 #![warn(clippy::all)]
 
+pub mod de;
+pub mod value;
+
+pub use de::Deserialize;
 pub use serde_derive::{Deserialize, Serialize};
+pub use value::Value;
 
 /// Types that can render themselves as JSON.
 pub trait Serialize {

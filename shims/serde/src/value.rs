@@ -57,12 +57,13 @@ impl Value {
     }
 
     /// The value as a `u64` (floats only when they are exact non-negative
-    /// integers).
+    /// integers below 2⁶⁴; `u64::MAX as f64` rounds up to 2⁶⁴ itself, so
+    /// the bound is strict).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Value::UInt(u) => Some(u),
-            Value::Float(x) if x >= 0.0 && x <= u64::MAX as f64 && x.fract() == 0.0 => {
+            Value::Float(x) if x >= 0.0 && x < u64::MAX as f64 && x.fract() == 0.0 => {
                 Some(x as u64)
             }
             _ => None,
@@ -399,6 +400,12 @@ mod tests {
             Value::UInt(u64::MAX)
         );
         assert_eq!(from_str_value("-3").unwrap(), Value::Float(-3.0));
+        // 2⁶⁴ overflows the integer path and must not saturate to u64::MAX.
+        assert_eq!(
+            from_str_value("18446744073709551616").unwrap().as_u64(),
+            None
+        );
+        assert_eq!(from_str_value("1e3").unwrap().as_u64(), Some(1000));
         assert_eq!(from_str_value("2.5e-1").unwrap(), Value::Float(0.25));
         assert_eq!(
             from_str_value("\"a\\n\\\"b\\u00e9\"").unwrap(),

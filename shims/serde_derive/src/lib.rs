@@ -3,12 +3,18 @@
 //!
 //! No `syn`/`quote` are available offline, so this parses the derive input
 //! token stream directly. It supports exactly the shapes this workspace
-//! derives on: non-generic structs (named, tuple, unit) and non-generic
-//! enums (unit, tuple and struct variants). One-field tuple structs
-//! serialize transparently (matching the workspace's only uses of
-//! `#[serde(transparent)]`), other serde attributes are accepted and
-//! ignored. `Deserialize` expands to nothing — the workspace never
-//! deserializes.
+//! derives on: non-generic structs and non-generic enums (unit, tuple and
+//! struct variants), with upstream serde's externally tagged JSON.
+//!
+//! * `Serialize` covers named, tuple and unit structs. One-field tuple
+//!   structs serialize transparently (matching the workspace's only uses
+//!   of `#[serde(transparent)]`).
+//! * `Deserialize` covers named structs and enums. A missing key is
+//!   decided by the field type (only `Option` may be absent, as `None`),
+//!   except that a field marked `#[serde(default)]` falls back to
+//!   `Default::default()`. Unknown keys are ignored.
+//!
+//! Other serde attributes are accepted and ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -30,10 +36,28 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     impl_code.parse().expect("generated impl parses")
 }
 
-/// Accepts `#[derive(Deserialize)]` and expands to nothing.
+/// Derives `serde::Deserialize` (JSON, externally tagged enums).
 #[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
+pub fn derive_deserialize(input: TokenStream) -> TokenStream {
+    let item = parse_item(input);
+    let name = &item.name;
+    let body = match &item.shape {
+        Shape::NamedStruct(fields) => format!(
+            "let __map = ::serde::de::object(__value, {name:?})?;\n\
+             ::core::result::Result::Ok({name} {{ {} }})",
+            decode_fields(fields)
+        ),
+        Shape::Enum(variants) => decode_enum(name, variants),
+        Shape::TupleStruct(_) | Shape::UnitStruct => {
+            panic!("serde shim derives Deserialize for named structs and enums only (on `{name}`)")
+        }
+    };
+    let impl_code = format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize_value(__value: &::serde::Value) \
+         -> ::core::result::Result<Self, ::serde::de::Error> {{\n{body}\n}}\n}}"
+    );
+    impl_code.parse().expect("generated impl parses")
 }
 
 struct Item {
@@ -41,8 +65,14 @@ struct Item {
     shape: Shape,
 }
 
+struct Field {
+    name: String,
+    /// Marked `#[serde(default)]`.
+    default: bool,
+}
+
 enum Shape {
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     TupleStruct(usize),
     UnitStruct,
     Enum(Vec<Variant>),
@@ -56,7 +86,7 @@ struct Variant {
 enum VariantKind {
     Unit,
     Tuple(usize),
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -91,13 +121,31 @@ fn parse_item(input: TokenStream) -> Item {
     Item { name, shape }
 }
 
-fn skip_attributes(tokens: &[TokenTree], i: &mut usize) {
+/// Skips outer attributes; returns whether one of them is
+/// `#[serde(default)]`.
+fn skip_attributes(tokens: &[TokenTree], i: &mut usize) -> bool {
+    let mut default = false;
     while matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         *i += 1; // '#'
-        if matches!(tokens.get(*i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket)
-        {
-            *i += 1;
+        if let Some(TokenTree::Group(g)) = tokens.get(*i) {
+            if g.delimiter() == Delimiter::Bracket {
+                default |= is_serde_default(g.stream());
+                *i += 1;
+            }
         }
+    }
+    default
+}
+
+/// Whether an attribute body reads `serde(default)`.
+fn is_serde_default(attr: TokenStream) -> bool {
+    let tokens: Vec<TokenTree> = attr.into_iter().collect();
+    match tokens.as_slice() {
+        [TokenTree::Ident(id), TokenTree::Group(args)] if id.to_string() == "serde" => args
+            .stream()
+            .into_iter()
+            .any(|t| matches!(t, TokenTree::Ident(a) if a.to_string() == "default")),
+        _ => false,
     }
 }
 
@@ -123,12 +171,12 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize) -> String {
 
 /// Parses `name: Type, ...` field lists, tracking `<...>` nesting so types
 /// like `HashMap<K, V>` do not split fields at inner commas.
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut fields = Vec::new();
     while i < tokens.len() {
-        skip_attributes(&tokens, &mut i);
+        let default = skip_attributes(&tokens, &mut i);
         skip_visibility(&tokens, &mut i);
         if i >= tokens.len() {
             break;
@@ -138,7 +186,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("expected `:` after field `{name}`, found {other:?}"),
         }
-        fields.push(name);
+        fields.push(Field { name, default });
         let mut angle_depth = 0i32;
         while let Some(tok) = tokens.get(i) {
             if let TokenTree::Punct(p) = tok {
@@ -223,10 +271,10 @@ fn push_literal(code: &mut String, text: &str) {
     code.push_str(&format!("out.push_str({text:?});\n"));
 }
 
-fn named_struct_body(fields: &[String]) -> String {
+fn named_struct_body(fields: &[Field]) -> String {
     let mut code = String::new();
     push_literal(&mut code, "{");
-    for (k, field) in fields.iter().enumerate() {
+    for (k, Field { name: field, .. }) in fields.iter().enumerate() {
         let sep = if k > 0 { "," } else { "" };
         push_literal(&mut code, &format!("{sep}\"{field}\":"));
         code.push_str(&format!(
@@ -289,12 +337,13 @@ fn enum_body(name: &str, variants: &[Variant]) -> String {
                 code.push_str("}\n");
             }
             VariantKind::Struct(fields) => {
+                let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                 code.push_str(&format!(
                     "{name}::{vname} {{ {} }} => {{\n",
-                    fields.join(", ")
+                    names.join(", ")
                 ));
                 push_literal(&mut code, &format!("{{\"{vname}\":{{"));
-                for (k, field) in fields.iter().enumerate() {
+                for (k, field) in names.iter().enumerate() {
                     let sep = if k > 0 { "," } else { "" };
                     push_literal(&mut code, &format!("{sep}\"{field}\":"));
                     code.push_str(&format!(
@@ -307,5 +356,61 @@ fn enum_body(name: &str, variants: &[Variant]) -> String {
         }
     }
     code.push_str("}\n");
+    code
+}
+
+/// `name: <decode>?, ...` initializers reading the fields from `__map`.
+fn decode_fields(fields: &[Field]) -> String {
+    fields
+        .iter()
+        .map(|Field { name, default }| {
+            let getter = if *default {
+                "field_or_default"
+            } else {
+                "field"
+            };
+            format!("{name}: ::serde::de::{getter}(__map, {name:?})?,")
+        })
+        .collect()
+}
+
+fn decode_enum(name: &str, variants: &[Variant]) -> String {
+    let mut code = format!(
+        "let (__tag, __body) = ::serde::de::variant(__value, {name:?})?;\n\
+         ::core::result::Result::Ok(match __tag {{\n"
+    );
+    for Variant { name: vname, kind } in variants {
+        let arm = match kind {
+            VariantKind::Unit => {
+                format!("::serde::de::unit_variant(__body, __tag)?; {name}::{vname}")
+            }
+            VariantKind::Tuple(1) => {
+                format!("{name}::{vname}(::serde::Deserialize::deserialize_value(__body)?)")
+            }
+            VariantKind::Tuple(arity) => {
+                let items: String = (0..*arity)
+                    .map(|k| {
+                        format!(
+                            "::serde::Deserialize::deserialize_value(&__items[{k}])\
+                             .map_err(|__e| __e.at({k}))?,"
+                        )
+                    })
+                    .collect();
+                format!(
+                    "let __items = ::serde::de::tuple_body(__body, {arity})?; \
+                     {name}::{vname}({items})"
+                )
+            }
+            VariantKind::Struct(fields) => format!(
+                "let __map = ::serde::de::object(__body, __tag)?; {name}::{vname} {{ {} }}",
+                decode_fields(fields)
+            ),
+        };
+        code.push_str(&format!("{vname:?} => {{ {arm} }}\n"));
+    }
+    code.push_str(&format!(
+        "__other => return ::core::result::Result::Err(\
+         ::serde::de::unknown_variant(__other, {name:?})),\n}})"
+    ));
     code
 }

@@ -1,20 +1,27 @@
 //! Offline stand-in for `serde_json`.
 //!
 //! Output side: [`to_string`] / [`to_string_pretty`] / [`to_writer`] over
-//! the serde shim's direct-to-JSON [`Serialize`]. Input side: a full JSON
-//! parser into the dynamic [`Value`] tree ([`from_str_value`]); typed
-//! deserialization is hand-written by consumers walking the tree (the
-//! scenario layer in `strat-scenario` is the main client).
+//! the serde shim's direct-to-JSON [`Serialize`]. Input side: the serde
+//! shim's parser into the dynamic [`Value`] tree ([`from_str_value`]), and
+//! [`from_str`] for any [`Deserialize`] type on top of it.
 
 #![warn(clippy::all)]
 
-mod value;
-
 use std::io::Write;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-pub use value::{from_str_value, ParseError, Value};
+pub use serde::de::Error;
+pub use serde::value::{from_str_value, ParseError, Value};
+
+/// Parses `input` and decodes it as a `T`.
+///
+/// # Errors
+///
+/// Returns [`Error`] on malformed JSON or a document of the wrong shape.
+pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
+    T::deserialize_value(&from_str_value(input)?)
+}
 
 /// Compact JSON encoding of `value`.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, std::io::Error> {
@@ -116,5 +123,71 @@ mod tests {
     #[test]
     fn to_string_works() {
         assert_eq!(to_string(&vec![1u32, 2]).unwrap(), "[1,2]");
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Unit,
+        Newtype(u32),
+        Pair(u64, f64),
+        Named { xs: Vec<(u64, u32)> },
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Holder {
+        shapes: Vec<Shape>,
+        maybe: Option<u64>,
+        #[serde(default)]
+        flag: bool,
+    }
+
+    #[test]
+    fn derived_impls_round_trip_and_apply_absent_key_rules() {
+        let holder = Holder {
+            shapes: vec![
+                Shape::Unit,
+                Shape::Newtype(7),
+                Shape::Pair(1, 0.5),
+                Shape::Named { xs: vec![(2, 3)] },
+            ],
+            maybe: Some(4),
+            flag: true,
+        };
+        let json = to_string(&holder).unwrap();
+        assert_eq!(from_str::<Holder>(&json).unwrap(), holder);
+        // Absent `Option` = None, absent `#[serde(default)]` = default,
+        // unknown keys ignored, a unit variant may also come as `{tag: null}`.
+        assert_eq!(
+            from_str::<Holder>(r#"{"shapes": [{"Unit": null}], "extra": 1}"#).unwrap(),
+            Holder {
+                shapes: vec![Shape::Unit],
+                maybe: None,
+                flag: false,
+            }
+        );
+        for bad in [
+            r#"{"maybe": 1}"#,
+            r#"{"shapes": ["Newtype"]}"#,
+            r#"{"shapes": [{"Unit": 1}]}"#,
+            r#"{"shapes": [{"Pair": [1]}]}"#,
+            r#"{"shapes": [{"Named": {}}]}"#,
+            r#"{"shapes": [{"Unit": null, "Newtype": 1}]}"#,
+            r#"{"shapes": ["Circle"]}"#,
+            r#"{"shapes": [], "flag": null}"#,
+        ] {
+            assert!(from_str::<Holder>(bad).is_err(), "accepted: {bad}");
+        }
+        let err = from_str::<Holder>(r#"{"shapes": [{"Named": {"xs": [[1, -2]]}}]}"#);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "at `shapes.0.xs.0.1`: expected an unsigned 32-bit integer, found a number"
+        );
+    }
+
+    #[test]
+    fn from_str_decodes_and_reports_parse_errors() {
+        assert_eq!(from_str::<Vec<u32>>("[1, 2]").unwrap(), vec![1, 2]);
+        assert!(from_str::<Vec<u32>>("[1,").is_err());
+        assert!(from_str::<Vec<u32>>("{}").is_err());
     }
 }
