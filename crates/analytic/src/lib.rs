@@ -9,11 +9,13 @@
 //! | [`one_matching`] | Algorithm 2 (independence assumption) | fast `O(n²)` time / `O(n)` memory recurrence for 1-matching |
 //! | [`b_matching`] | Algorithm 3 | per-choice distributions `D_c(i, j)` for `b₀`-matching |
 //! | [`exact`] | exhaustive graph enumeration (tiny `n`) | gold standard; quantifies the independence error (Figure 7) |
-//! | [`monte_carlo`] | parallel simulation of Algorithm 1 over graph ensembles | empirical validation at real scale (Figure 9) |
+//! | [`monte_carlo`] | parallel simulation of Algorithm 1, online on each graph's pair stream | empirical validation at real scale (Figure 9) |
 //!
-//! plus [`fluid`], the `n → ∞` fluid limit `M_{0,d}(β) = d·e^{−βd}`
-//! (Conjecture 1) showing stratification is governed solely by the mean
-//! acceptable-peer count `d` — the paper's scalability argument.
+//! plus [`mod@reference`], the eager Monte-Carlo estimator kept as
+//! [`monte_carlo`]'s oracle, and [`fluid`], the `n → ∞` fluid limit
+//! `M_{0,d}(β) = d·e^{−βd}` (Conjecture 1) showing stratification is
+//! governed solely by the mean acceptable-peer count `d` — the paper's
+//! scalability argument.
 //!
 //! # Example: the regimes of Figure 8
 //!
@@ -40,3 +42,4 @@ pub mod exact;
 pub mod fluid;
 pub mod monte_carlo;
 pub mod one_matching;
+pub mod reference;

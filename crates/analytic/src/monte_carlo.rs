@@ -8,19 +8,46 @@
 //! ([`strat_par`] scoped threads), making tens of thousands of
 //! realizations a matter of seconds.
 //!
+//! # Algorithm 1, online on the pair stream
+//!
+//! A realization never materializes its graph.
+//! [`generators::erdos_renyi_pairs`] yields the edges `(v, w)`, `w < v`,
+//! in increasing `(v, w)` order, and the estimator runs the global-ranking
+//! greedy on them as they arrive: one remaining-slot counter per peer, and
+//! a pair is linked iff both ends still have a free slot. The realization
+//! stops as soon as the observed peer has `b₀` mates. Its mates equal
+//! [`strat_core::Matching::mates`] of Algorithm 1 on the materialized
+//! graph, bit for bit, for three reasons:
+//!
+//! 1. Row `v` arrives in ascending `w`, so `v` is offered to better peers
+//!    best-first.
+//! 2. A peer `w`'s worse-ranked neighbours arrive in ascending `v`, so `w`
+//!    scans them best-first, as the rank-order greedy does.
+//! 3. Every decision depends only on pairs already seen: when `(v, w)`
+//!    arrives, `w`'s counter holds exactly its links to peers better than
+//!    `v`, and `v`'s its links to peers better than `w`. Mates therefore
+//!    also come out best-first, in the order of `Matching::mates`, and no
+//!    later pair can change the first `b₀`.
+//!
+//! A realization thus draws only the pairs up to the observed peer's last
+//! mate (on the Figure 9 instance, roughly the ~45k edges in the rows up
+//! to peer 3000, out of ~125k) and keeps one `u32` per peer.
+//! [`crate::reference`] keeps the eager loop (graph, acceptance table, full
+//! Algorithm 1) as the differential oracle.
+//!
 //! # Determinism contract
 //!
 //! Every realization `r` draws from its **own** ChaCha8 stream
 //! `(seed, stream = r + 1)`, so the estimate is a pure function of the
 //! configuration — independent of [`MonteCarloConfig::threads`] and of OS
 //! scheduling. Histograms produced with 1 thread and with N threads are
-//! identical, bit for bit (covered by a unit test below).
+//! identical, bit for bit (covered by a unit test below). Stopping early
+//! only shortens a realization's own stream.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use strat_core::{stable_configuration, Capacities, GlobalRanking, RankedAcceptance};
-use strat_graph::{generators, NodeId};
+use strat_graph::generators;
 
 /// Configuration of a Monte-Carlo estimation run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -96,15 +123,9 @@ impl ChoiceHistogram {
     }
 }
 
-/// One worker's partial histogram.
-struct Partial {
-    counts: Vec<Vec<u64>>,
-    missing: Vec<u64>,
-}
-
 /// Estimates the per-choice mate distribution of `peer` by simulating
-/// `cfg.realizations` independent acceptance graphs and computing each
-/// stable configuration with Algorithm 1.
+/// `cfg.realizations` independent acceptance graphs and running
+/// Algorithm 1 on each, online on its pair stream (see the module docs).
 ///
 /// Deterministic for a fixed `cfg.seed` — **regardless of
 /// `cfg.threads`** — because realization `r` always draws from stream
@@ -115,6 +136,39 @@ struct Partial {
 /// Panics if `peer >= cfg.n` or `cfg.p ∉ [0, 1]`.
 #[must_use]
 pub fn estimate_choice_distribution(cfg: &MonteCarloConfig, peer: usize) -> ChoiceHistogram {
+    let b = cfg.b0 as usize;
+    tally(cfg, peer, || {
+        let mut free = vec![0u32; cfg.n];
+        move |rng: &mut ChaCha8Rng, mates: &mut Vec<usize>| {
+            free.fill(cfg.b0);
+            let mut pairs = generators::erdos_renyi_pairs(cfg.n, cfg.p, rng);
+            // No later pair can change the observed peer's first b₀ mates.
+            while mates.len() < b {
+                let Some((v, w)) = pairs.next() else { break };
+                let (v, w) = (v.index(), w.index());
+                if free[v] > 0 && free[w] > 0 {
+                    free[v] -= 1;
+                    free[w] -= 1;
+                    if v == peer {
+                        mates.push(w);
+                    } else if w == peer {
+                        mates.push(v);
+                    }
+                }
+            }
+        }
+    })
+}
+
+/// The estimator's driver: checks `cfg` and `peer`, runs realization `r`
+/// on stream `r + 1` of `cfg.seed` through a per-thread observer built by
+/// `worker`, and histograms the mates of `peer` (best-first) that the
+/// observer appends.
+pub(crate) fn tally<W, F>(cfg: &MonteCarloConfig, peer: usize, worker: W) -> ChoiceHistogram
+where
+    W: Fn() -> F + Sync,
+    F: FnMut(&mut ChaCha8Rng, &mut Vec<usize>),
+{
     assert!(
         peer < cfg.n,
         "observed peer {peer} out of range for n = {}",
@@ -126,42 +180,37 @@ pub fn estimate_choice_distribution(cfg: &MonteCarloConfig, peer: usize) -> Choi
         cfg.p
     );
     let b = cfg.b0 as usize;
-    let ranking = GlobalRanking::identity(cfg.n);
-    let caps = Capacities::constant(cfg.n, cfg.b0);
+    let empty = || (vec![vec![0u64; cfg.n]; b], vec![0u64; b]);
 
     // Contiguous blocks of realization indices; the block → worker mapping
     // is irrelevant to the result because streams are per-realization.
     let blocks = strat_par::chunk_ranges(cfg.realizations, cfg.threads.max(1));
-    let partials: Vec<Partial> = strat_par::par_map(&blocks, cfg.threads.max(1), |_, block| {
-        let mut partial = Partial {
-            counts: vec![vec![0u64; cfg.n]; b],
-            missing: vec![0u64; b],
-        };
+    let partials = strat_par::par_map(&blocks, cfg.threads.max(1), |_, block| {
+        let (mut counts, mut missing) = empty();
+        let mut observe = worker();
+        let mut mates = Vec::with_capacity(b);
         for r in block.clone() {
             let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
             rng.set_stream(r + 1);
-            let g = generators::erdos_renyi(cfg.n, cfg.p, &mut rng);
-            let acc = RankedAcceptance::new(g, ranking.clone()).expect("sizes match");
-            let m = stable_configuration(&acc, &caps).expect("sizes match");
-            let mates = m.mates(NodeId::new(peer));
+            mates.clear();
+            observe(&mut rng, &mut mates);
             for c in 0..b {
                 match mates.get(c) {
-                    Some(mate) => partial.counts[c][mate.index()] += 1,
-                    None => partial.missing[c] += 1,
+                    Some(&mate) => counts[c][mate] += 1,
+                    None => missing[c] += 1,
                 }
             }
         }
-        partial
+        (counts, missing)
     });
 
-    let mut counts = vec![vec![0u64; cfg.n]; b];
-    let mut missing = vec![0u64; b];
-    for partial in partials {
+    let (mut counts, mut missing) = empty();
+    for (part_counts, part_missing) in partials {
         for c in 0..b {
             for j in 0..cfg.n {
-                counts[c][j] += partial.counts[c][j];
+                counts[c][j] += part_counts[c][j];
             }
-            missing[c] += partial.missing[c];
+            missing[c] += part_missing[c];
         }
     }
     ChoiceHistogram {

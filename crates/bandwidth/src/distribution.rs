@@ -8,8 +8,7 @@
 //! access technologies of the era — 56 k modem, 128 k ISDN/DSL upstream,
 //! 256 k / 512 k DSL, ~1 M cable, 10 M LAN. Everything downstream of this
 //! module (Figure 11's efficiency curve) depends only on these shape
-//! features, which is why the substitution preserves the paper's findings
-//! (see DESIGN.md).
+//! features, which is why the substitution preserves the paper's findings.
 
 use rand::Rng;
 use serde::Serialize;

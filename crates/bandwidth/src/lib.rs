@@ -4,7 +4,7 @@
 //! [`BandwidthCdf`] models host upstream-bandwidth distributions as
 //! piecewise log-linear CDFs; [`BandwidthCdf::saroiu_gnutella_upstream`] is
 //! the synthetic stand-in for the Saroiu et al. Gnutella measurement the
-//! paper uses (see DESIGN.md for the substitution rationale).
+//! paper uses (`src/distribution.rs` documents the substitution rationale).
 //! [`efficiency_curve`] combines a CDF with the analytic `b₀`-matching mate
 //! distribution (`strat-analytic`) to produce the expected
 //! download/upload-ratio curve — the paper's practical BitTorrent insight.

@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design decisions called out in DESIGN.md:
+//! Ablation benchmarks for four design decisions of the matching core:
 //!
 //! 1. streaming prefix-sum Algorithm 2 vs the paper's dense matrix form;
 //! 2. the complete-graph specialization of Algorithm 1 vs the generic

@@ -13,7 +13,7 @@
 //!   generation and swarm rounds;
 //! * `experiments` — one benchmark per paper table/figure (quick profile),
 //!   asserting the shape checks still pass;
-//! * `ablations` — the DESIGN.md design-decision comparisons (streaming vs
+//! * `ablations` — the design-decision comparisons (streaming vs
 //!   dense Algorithm 2, complete-graph specialization, mate-set structure,
 //!   rank-sorted best-mate search).
 
@@ -24,6 +24,7 @@ use std::time::Duration;
 use criterion::{black_box, BenchmarkId, Criterion};
 use rand::{Rng as _, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use strat_analytic::monte_carlo::{self, ChoiceHistogram, MonteCarloConfig};
 use strat_bittorrent::session::{ArrivalProcess, DepartureRules, Session, SessionConfig};
 use strat_bittorrent::{
     overlay, reference::RefSwarm, CapacitySplit, EventEngine, EventTiming, FaultPlan,
@@ -717,6 +718,45 @@ pub fn bench_universe(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Figure 9 Monte-Carlo estimator on a fixed block of 50 realizations
+/// of the paper's instance (n = 5000, p = 0.01, b₀ = 2, peer 3000) from a
+/// fixed seed at one thread: Algorithm 1 run online on each realization's
+/// Erdős–Rényi pair stream.
+pub fn bench_monte_carlo(c: &mut Criterion) {
+    monte_carlo_group(c, "monte_carlo", monte_carlo::estimate_choice_distribution);
+}
+
+/// The eager estimator (`strat_analytic::reference`: materialized graph,
+/// acceptance table, full Algorithm 1) on the same block as
+/// [`bench_monte_carlo`].
+pub fn bench_monte_carlo_ref(c: &mut Criterion) {
+    monte_carlo_group(
+        c,
+        "monte_carlo_ref",
+        strat_analytic::reference::estimate_choice_distribution,
+    );
+}
+
+fn monte_carlo_group(
+    c: &mut Criterion,
+    name: &str,
+    estimate: fn(&MonteCarloConfig, usize) -> ChoiceHistogram,
+) {
+    let mut group = c.benchmark_group(name);
+    group.warm_up_time(Duration::from_millis(400));
+    group.measurement_time(Duration::from_secs(2));
+    // An eager iteration takes over half a second.
+    group.sample_size(10);
+    let cfg = MonteCarloConfig {
+        threads: 1,
+        ..MonteCarloConfig::figure9(50)
+    };
+    group.bench_function("fig9_n5000_r50_t1", |b| {
+        b.iter(|| estimate(black_box(&cfg), 2999));
+    });
+    group.finish();
+}
+
 /// Registers every core group (optimized + reference) on `c`.
 pub fn core_groups(c: &mut Criterion) {
     bench_stable_configuration(c);
@@ -733,4 +773,6 @@ pub fn core_groups(c: &mut Criterion) {
     bench_events_ref(c);
     bench_observer(c);
     bench_universe(c);
+    bench_monte_carlo(c);
+    bench_monte_carlo_ref(c);
 }

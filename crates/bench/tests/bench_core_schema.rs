@@ -2,9 +2,10 @@
 //! the exporter's output must parse, every measurement must be a finite
 //! positive median with non-empty names, every speedup row must be
 //! consistent with its reference/optimized pair, and the scale-path rows
-//! (n = 10⁵ and n = 10⁶ flash rounds, the million-peer churn round) must
-//! be present — a refresh that silently drops them fails here instead of
-//! during the next perf comparison.
+//! (n = 10⁵ and n = 10⁶ flash rounds, the million-peer churn round, the
+//! streamed and eager Figure 9 Monte-Carlo blocks) must be present — a
+//! refresh that silently drops them fails here instead of during the next
+//! perf comparison.
 
 use serde_json::Value;
 
@@ -106,6 +107,8 @@ fn scale_path_rows_are_present() {
         ("session", "round_churn_indexed_n1000000"),
         ("universe", "round_shared_n1000_t8"),
         ("universe", "membership_join_leave_d20"),
+        ("monte_carlo", "fig9_n5000_r50_t1"),
+        ("monte_carlo_ref", "fig9_n5000_r50_t1"),
     ] {
         assert!(
             groups.iter().any(|(g, b, _)| g == group && b == bench),

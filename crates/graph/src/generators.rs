@@ -79,9 +79,9 @@ pub fn star(n: usize) -> Graph {
 /// Erdős–Rényi graph `G(n, p)`: every unordered pair is an edge independently
 /// with probability `p`.
 ///
-/// Uses the Batagelj–Brandes geometric-skip sampler, `O(n + m)` expected
-/// time, so sparse graphs with large `n` (the paper uses `n = 5000`,
-/// `p = 0.5 %`) are cheap.
+/// Collects [`erdos_renyi_pairs`], so it draws exactly the randomness of the
+/// pair stream: `O(n + m)` expected time, and sparse graphs with large `n`
+/// (the paper uses `n = 5000`, `p = 0.5 %`) are cheap.
 ///
 /// # Panics
 ///
@@ -98,43 +98,95 @@ pub fn star(n: usize) -> Graph {
 /// ```
 #[must_use]
 pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
+    Graph::from_edges(n, erdos_renyi_pairs(n, p, rng)).expect("sampled pairs are valid edges")
+}
+
+/// The edges of `G(n, p)` as a stream of pairs `(v, w)` with `w < v`, in
+/// strictly increasing `(v, w)` order.
+///
+/// This is the Batagelj–Brandes (2005) geometric-skip sampler: it walks the
+/// lower-triangular pair enumeration and skips a geometric number of
+/// non-edges per draw, so each yielded pair costs one draw and a consumer
+/// that stops early leaves the rest of the stream undrawn. With `p >= 1`
+/// it yields every pair and draws nothing; with `p == 0` or `n < 2` it
+/// yields nothing.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]` or is NaN.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use strat_graph::{generators, NodeId};
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let pairs: Vec<_> = generators::erdos_renyi_pairs(3, 1.0, &mut rng).collect();
+/// let n = NodeId::new;
+/// assert_eq!(pairs, [(n(1), n(0)), (n(2), n(0)), (n(2), n(1))]);
+/// ```
+pub fn erdos_renyi_pairs<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> ErdosRenyiPairs<'_, R> {
     assert!(
         p.is_finite() && (0.0..=1.0).contains(&p),
         "p must be in [0, 1], got {p}"
     );
-    if n == 0 || p == 0.0 {
-        return Graph::empty(n);
+    ErdosRenyiPairs {
+        rng,
+        n,
+        log_q: (1.0 - p).ln(),
+        complete: p >= 1.0,
+        v: if p == 0.0 { n } else { 1 },
+        w: -1,
     }
-    if p >= 1.0 {
-        return complete(n);
-    }
+}
 
-    // Batagelj & Brandes (2005): walk the lower-triangular pair enumeration
-    // (v, w) with w < v, skipping a geometric number of non-edges at a time.
-    let mut builder = GraphBuilder::new(n);
-    let log_q = (1.0 - p).ln();
-    let mut v: usize = 1;
-    let mut w: i64 = -1;
-    while v < n {
-        let r: f64 = rng.gen_range(0.0..1.0);
-        // Number of skipped pairs: floor(log(1-r) / log(1-p)).
-        let skip = ((1.0 - r).ln() / log_q).floor();
-        // Guard against astronomically large skips overflowing i64.
-        if !skip.is_finite() || skip >= (n * n) as f64 {
-            break;
+/// Iterator returned by [`erdos_renyi_pairs`].
+#[derive(Debug)]
+pub struct ErdosRenyiPairs<'a, R: ?Sized> {
+    rng: &'a mut R,
+    n: usize,
+    /// `ln(1 - p)`, the scale of the geometric skips.
+    log_q: f64,
+    /// `p >= 1`: enumerate every pair without drawing.
+    complete: bool,
+    /// Current row; the stream is exhausted once `v >= n`.
+    v: usize,
+    /// Last yielded column in row `v` (`-1` before the first pair).
+    w: i64,
+}
+
+impl<R: Rng + ?Sized> Iterator for ErdosRenyiPairs<'_, R> {
+    type Item = (NodeId, NodeId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let n = self.n;
+        if self.v >= n {
+            return None;
         }
-        w += 1 + skip as i64;
-        while w >= v as i64 && v < n {
-            w -= v as i64;
-            v += 1;
+        if self.complete {
+            self.w += 1;
+            if self.w >= self.v as i64 {
+                self.w = 0;
+                self.v += 1;
+            }
+        } else {
+            let r: f64 = self.rng.gen_range(0.0..1.0);
+            // Number of skipped pairs: floor(log(1-r) / log(1-p)).
+            let skip = ((1.0 - r).ln() / self.log_q).floor();
+            // Guard against astronomically large skips overflowing i64.
+            if !skip.is_finite() || skip >= (n * n) as f64 {
+                self.v = n;
+                return None;
+            }
+            self.w += 1 + skip as i64;
+            while self.w >= self.v as i64 && self.v < n {
+                self.w -= self.v as i64;
+                self.v += 1;
+            }
         }
-        if v < n {
-            builder
-                .add_edge(NodeId::new(v), NodeId::new(w as usize))
-                .expect("sampled edges are valid");
-        }
+        (self.v < n).then(|| (NodeId::new(self.v), NodeId::new(self.w as usize)))
     }
-    builder.build()
 }
 
 /// Erdős–Rényi graph `G(n, d)` parameterized by the *expected degree* `d`, as
@@ -167,7 +219,7 @@ pub fn erdos_renyi_mean_degree<R: Rng + ?Sized>(n: usize, d: f64, rng: &mut R) -
 
 #[cfg(test)]
 mod tests {
-    use rand::SeedableRng;
+    use rand::{RngCore as _, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     use super::*;
@@ -255,6 +307,49 @@ mod tests {
         // d > n-1 clamps to complete.
         let g = erdos_renyi_mean_degree(5, 100.0, &mut rng);
         assert_eq!(g.edge_count(), 10);
+    }
+
+    #[test]
+    fn er_graph_collects_the_pair_stream() {
+        for (n, p) in [
+            (200, 0.03),
+            (50, 0.5),
+            (7, 1.0),
+            (30, 0.0),
+            (1, 0.5),
+            (0, 0.5),
+        ] {
+            let g = erdos_renyi(n, p, &mut ChaCha8Rng::seed_from_u64(11));
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let pairs = erdos_renyi_pairs(n, p, &mut rng);
+            assert_eq!(g, Graph::from_edges(n, pairs).unwrap(), "n = {n}, p = {p}");
+        }
+    }
+
+    #[test]
+    fn er_pairs_are_strictly_increasing_below_the_diagonal() {
+        for p in [0.02, 0.3, 0.97, 1.0] {
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let pairs: Vec<(usize, usize)> = erdos_renyi_pairs(150, p, &mut rng)
+                .map(|(v, w)| (v.index(), w.index()))
+                .collect();
+            assert!(!pairs.is_empty(), "p = {p}");
+            assert!(pairs.iter().all(|&(v, w)| w < v && v < 150), "p = {p}");
+            assert!(pairs.windows(2).all(|x| x[0] < x[1]), "p = {p}");
+        }
+        let every = erdos_renyi_pairs(6, 1.0, &mut ChaCha8Rng::seed_from_u64(5)).count();
+        assert_eq!(every, 15);
+    }
+
+    #[test]
+    fn er_pairs_draw_nothing_at_p0_p1_and_below_two_nodes() {
+        for (n, p) in [(40, 0.0), (40, 1.0), (1, 0.5), (0, 0.5)] {
+            let mut used = ChaCha8Rng::seed_from_u64(8);
+            let mut fresh = used.clone();
+            let yielded = erdos_renyi_pairs(n, p, &mut used).count();
+            assert_eq!(yielded, if p == 1.0 { n * (n - 1) / 2 } else { 0 });
+            assert_eq!(used.next_u64(), fresh.next_u64(), "n = {n}, p = {p}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Prints the control points and a percentile table of the synthetic
 //! distribution substituted for the Saroiu et al. Gnutella measurement
-//! (substitution rationale in DESIGN.md).
+//! (substitution rationale in `strat_bandwidth::distribution`).
 
 use strat_scenario::{CapacityModel, Scenario};
 

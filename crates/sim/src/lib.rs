@@ -6,7 +6,8 @@
 //! series / the table's rows) plus machine-checked **shape criteria** — the
 //! qualitative claims the paper makes about that artifact. The
 //! `experiments` binary runs them all, writes CSVs, renders ASCII plots and
-//! reports a PASS/FAIL summary; EXPERIMENTS.md records paper-vs-measured.
+//! reports a PASS/FAIL summary; README.md maps each paper artifact to its
+//! experiment id.
 //!
 //! Every experiment is **scenario-driven**: its setting is a declarative
 //! `strat_scenario::Scenario` preset ([`runner::ExperimentEntry::preset`])

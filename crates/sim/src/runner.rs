@@ -47,7 +47,7 @@ impl Check {
 /// shape checks and free-form notes.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentResult {
-    /// Experiment id (`fig1`, `table1`, …) as used in DESIGN.md.
+    /// Experiment id (`fig1`, `table1`, …) as listed by `experiments --list`.
     pub id: String,
     /// Human title (paper artifact).
     pub title: String,

@@ -50,8 +50,8 @@
 //! # Ok::<(), stratification::core::ModelError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and DESIGN.md / EXPERIMENTS.md
-//! for the experiment index.
+//! See `examples/` for runnable scenarios, README.md for the figure →
+//! experiment index and docs/ARCHITECTURE.md for the system map.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
