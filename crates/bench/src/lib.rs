@@ -31,7 +31,7 @@ use strat_bittorrent::{
     MembershipModel, NullObserver, PeerBehavior, PieceSet, Swarm, SwarmConfig, Universe,
     UniverseConfig,
 };
-use strat_core::prefs::{best_mate_dynamics, LatencyPrefs, PrefDynamicsOutcome};
+use strat_core::prefs::LatencyPrefs;
 use strat_core::GeneralDynamics;
 use strat_core::{
     reference, stable_configuration, stable_configuration_complete, Capacities, GlobalRanking,
@@ -171,10 +171,11 @@ fn latency_instance(n: usize, seed: u64) -> (Graph, LatencyPrefs, Capacities) {
 /// Generalized-preference dynamics on the dirty-set engine, latency
 /// instances:
 ///
-/// * `converge_*` — full `best_mate_dynamics` from `C∅` to stability
-///   (includes key-table construction — now seeded by cached scalar sort
-///   keys instead of indirect preference comparisons; early sweeps are
-///   all-dirty, so the memo only trims the tail);
+/// * `converge_*` — `GeneralDynamics::from_preferences` then `settle`
+///   from `C∅` to stability (includes key-table construction — now
+///   seeded by cached scalar sort keys instead of indirect preference
+///   comparisons; early sweeps are all-dirty, so the memo only trims the
+///   tail);
 /// * `settled_sweep_*` — one round-robin sweep of a **converged** system
 ///   (the steady-state regime continuing dynamics live in): every peer is
 ///   provably clean and the sweep degenerates to n flag reads.
@@ -188,7 +189,16 @@ pub fn bench_prefs(c: &mut Criterion) {
             BenchmarkId::new("converge_latency_d20_b3", n),
             &n,
             |b, _| {
-                b.iter(|| black_box(best_mate_dynamics(&graph, &prefs, &caps)));
+                b.iter(|| {
+                    let mut dynamics = GeneralDynamics::from_preferences(
+                        &graph,
+                        &prefs,
+                        caps.clone(),
+                        InitiativeStrategy::BestMate,
+                    )
+                    .expect("sizes");
+                    black_box(dynamics.settle().expect("latency systems are cycle-free"))
+                });
             },
         );
     }
@@ -237,7 +247,7 @@ pub fn bench_prefs_ref(c: &mut Criterion) {
     }
     let n = 2000usize;
     let (graph, prefs, caps) = latency_instance(n, 0x9e1);
-    let PrefDynamicsOutcome::Stable(mut matching) =
+    let reference::PrefDynamicsOutcome::Stable(mut matching) =
         reference::best_mate_dynamics(&graph, &prefs, &caps)
     else {
         panic!("latency systems are cycle-free")

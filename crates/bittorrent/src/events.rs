@@ -535,38 +535,14 @@ impl EventEngine {
     /// Panics if [`EventEngine::run_for`] was already used on this
     /// engine.
     pub fn run_sync_rounds(&mut self, rounds: u64) {
-        self.run_sync_rounds_observed(rounds, &NullObserver);
-    }
-
-    /// [`run_sync_rounds`](Self::run_sync_rounds) with a [`RunObserver`]
-    /// tap. Observers are pure taps: attaching one changes no engine
-    /// state and consumes no randomness. Hook times are τ in
-    /// rechoke-interval units; the `transfer` hook fires per credit
-    /// *settlement* with the settled kilobits (the event engine's
-    /// continuous analogue of the round engine's per-round deliveries).
-    /// A disabled observer dispatches to the crate's own non-generic
-    /// path, so out-of-crate callers pay no re-instantiation penalty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`EventEngine::run_for`] was already used on this
-    /// engine.
-    pub fn run_sync_rounds_with<O: RunObserver>(&mut self, rounds: u64, obs: &O) {
-        if !O::ENABLED {
-            return self.run_sync_rounds(rounds);
-        }
-        self.run_sync_rounds_observed(rounds, obs);
-    }
-
-    fn run_sync_rounds_observed<O: RunObserver>(&mut self, rounds: u64, obs: &O) {
         assert!(
             !self.continuous,
             "cannot mix run_sync_rounds with run_for on one engine"
         );
         self.rounds_run += rounds;
         let tau_end = self.rounds_run as f64;
-        self.pump(tau_end, false, obs);
-        self.flush_all(tau_end, obs);
+        self.pump(tau_end, false, &NullObserver);
+        self.flush_all(tau_end, &NullObserver);
         self.clock = tau_end;
     }
 
@@ -582,10 +558,14 @@ impl EventEngine {
         self.run_for_observed(seconds, &NullObserver);
     }
 
-    /// [`run_for`](Self::run_for) with a [`RunObserver`] tap (see
-    /// [`run_sync_rounds_with`](Self::run_sync_rounds_with) for the hook
-    /// semantics). A disabled observer dispatches to the crate's own
-    /// non-generic path.
+    /// [`run_for`](Self::run_for) with a [`RunObserver`] tap. Observers
+    /// are pure taps: attaching one changes no engine state and consumes
+    /// no randomness. Hook times are τ in rechoke-interval units; the
+    /// `transfer` hook fires per credit *settlement* with the settled
+    /// kilobits (the event engine's continuous analogue of the round
+    /// engine's per-round deliveries). A disabled observer dispatches to
+    /// the crate's own non-generic path, so out-of-crate callers pay no
+    /// re-instantiation penalty.
     ///
     /// # Panics
     ///

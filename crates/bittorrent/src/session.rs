@@ -38,7 +38,6 @@
 //!   events execute serially between rounds and the rounds themselves
 //!   honour the `strat-par` contract.
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -53,16 +52,6 @@ use crate::{PeerBehavior, PeerId, PieceSet, Population, Swarm};
 /// packs the round in the high 32 bits and the event index in the low 32.
 fn event_rng(seed: u64, round: u64, event: u64) -> ChaCha8Rng {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7365_7373_696f_6e5f); // "session_"
-    rng.set_stream((round << 32) | event);
-    rng
-}
-
-/// Tracker-wiring streams for the batched candidate pass, under their
-/// own domain separator so batched wiring draws can never collide with
-/// the arrival event streams — which is what keeps the per-arrival
-/// piece draws bit-identical whether wiring is batched or not.
-fn wire_rng(seed: u64, round: u64, event: u64) -> ChaCha8Rng {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7472_6163_6b65_725f); // "tracker_"
     rng.set_stream((round << 32) | event);
     rng
 }
@@ -206,14 +195,6 @@ pub struct SessionConfig {
     pub target_degree: usize,
     /// Seed of the session's `(seed, round, event)` streams.
     pub session_seed: u64,
-    /// Wire all of a round's arrivals in **one shuffled candidate pass**
-    /// (one `wire_rng` stream per round) instead of per-arrival
-    /// rejection sampling. Arrival piece draws are bit-identical on both
-    /// paths — wiring randomness lives under its own domain separator —
-    /// so flipping this flag changes only the overlay edges. Off by
-    /// default; the rejection-sampling path is the retained reference.
-    #[serde(default)]
-    pub batched_wiring: bool,
     /// Tracker peer-list cap: the maximum number of *candidate* peers
     /// the tracker hands out per wiring request (Al-Hamra et al.,
     /// *Understanding the Properties of the BitTorrent Overlay*). `None`
@@ -222,7 +203,7 @@ pub struct SessionConfig {
     /// candidates per request, so a peer can connect to at most
     /// `min(c, target_degree)` neighbours per announce and the overlay
     /// gets sparser and wider as `c` shrinks. `None` is bit-identical to
-    /// pre-cap builds on every wiring path.
+    /// pre-cap builds.
     #[serde(default)]
     pub peer_list_cap: Option<usize>,
     /// Arena-compaction trigger: when the dead-slot fraction
@@ -258,7 +239,6 @@ impl Default for SessionConfig {
             arrival_completion: 0.0,
             target_degree: 20,
             session_seed: 0x5e55,
-            batched_wiring: false,
             peer_list_cap: None,
             compact_threshold: None,
         }
@@ -474,9 +454,6 @@ pub struct Session {
     faults_active: bool,
     /// Arrivals whose announce hit a tracker outage, waiting to retry.
     pending: Vec<PendingAnnounce>,
-    /// Slots admitted this round and awaiting the batched wiring pass
-    /// (only used when `config.batched_wiring` is set).
-    wire_batch: Vec<u32>,
     /// Generation handed to slots the arena grows fresh. Bumped past
     /// every generation ever issued when a compaction renames slots, so
     /// no pre-compaction handle can alias a post-compaction occupant.
@@ -584,7 +561,6 @@ impl Session {
             faults,
             faults_active,
             pending: Vec::new(),
-            wire_batch: Vec::new(),
             gen_floor: 0,
             stream_order_diverged: false,
             pass_buf: Vec::new(),
@@ -785,9 +761,9 @@ impl Session {
 
     /// The membership half of one session step: graceful departures,
     /// fault events (crash pass, partition cuts), arrivals (queued
-    /// during outages), announce retries, batched tracker wiring, and
-    /// the overlay-repair pass — everything that runs *before* the swarm
-    /// round. [`round_pass_with`](Self::round_pass_with) is the other
+    /// during outages), announce retries, and the overlay-repair pass —
+    /// everything that runs *before* the swarm round.
+    /// [`round_pass_with`](Self::round_pass_with) is the other
     /// half; running the two back to back is exactly one
     /// [`run_rounds`](Self::run_rounds) step, so a driver that
     /// interleaves its own work between the halves (the universe layer's
@@ -806,9 +782,6 @@ impl Session {
         }
         if self.faults_active {
             self.retry_pass(round, obs);
-        }
-        if self.config.batched_wiring {
-            self.wire_pass_batched(round);
         }
         if self.faults_active {
             self.repair_pass(round);
@@ -1203,11 +1176,7 @@ impl Session {
         if O::ENABLED {
             obs.arrival(round as f64, slot);
         }
-        if self.config.batched_wiring {
-            self.wire_batch.push(slot as u32);
-        } else {
-            self.wire(slot, &mut rng, round);
-        }
+        self.wire(slot, &mut rng, round);
     }
 
     /// Tracker wiring: connects `slot` to up to `target_degree` distinct
@@ -1257,55 +1226,6 @@ impl Session {
             }
             // `connect_peers` rejects duplicates and full rows on its own.
             self.swarm.connect_peers(slot, q);
-        }
-    }
-
-    /// Batched tracker wiring (the `batched_wiring` path): all of the
-    /// round's admissions share **one** shuffled pass over the present
-    /// candidate list instead of one rejection-sampling loop each.
-    /// A rotating cursor walks the shuffled list; every arrival scans at
-    /// most one lap, so a round with `a` arrivals costs
-    /// `O(present + a · target)` instead of `a` independent
-    /// `O(target · collisions)` loops — the flash-crowd scaling item.
-    /// Draws come from the round's [`wire_rng`] stream, so the arrivals'
-    /// own event streams see exactly the draws the reference path's
-    /// piece sampling sees.
-    fn wire_pass_batched(&mut self, round: u64) {
-        if self.wire_batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.wire_batch);
-        let present = self.present_slots.len();
-        if present <= 1 {
-            return;
-        }
-        let partitioned = self.faults_active && self.faults.partition_active(round);
-        let target = self.effective_target(partitioned);
-        let mut rng = wire_rng(self.config.session_seed, round, 0);
-        let mut cands = self.present_slots.clone();
-        cands.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        // A peer-list cap limits each arrival's lap over the shuffled
-        // candidate list — the tracker "hands out" only the next `cap`
-        // entries. Uncapped laps scan the whole list (legacy behaviour).
-        let lap = self
-            .config
-            .peer_list_cap
-            .map_or(cands.len(), |cap| cap.min(cands.len()));
-        for &slot in &batch {
-            let slot = slot as usize;
-            let mut scanned = 0usize;
-            while self.swarm.degree(slot) < target && scanned < lap {
-                let q = cands[cursor] as usize;
-                cursor = (cursor + 1) % cands.len();
-                scanned += 1;
-                if q == slot || (partitioned && FaultPlan::cross_partition(slot, q)) {
-                    continue;
-                }
-                // `connect_peers` rejects duplicates and full rows on its
-                // own.
-                self.swarm.connect_peers(slot, q);
-            }
         }
     }
 

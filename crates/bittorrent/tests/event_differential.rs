@@ -155,7 +155,6 @@ proptest! {
         announce_mult in 1u32..4,
         mult_idx in 0usize..4,
         rate in 0.3f64..1.5,
-        batched in any::<bool>(),
     ) {
         // Divisors of the rechoke interval whose quotients are exact in
         // binary, so quantum multiples land exactly on rechoke ticks.
@@ -184,7 +183,6 @@ proptest! {
             arrival_completion: 0.25,
             target_degree: 7,
             session_seed: seed ^ 0xaa,
-            batched_wiring: batched,
             peer_list_cap: None,
             compact_threshold: None,
         };

@@ -98,7 +98,6 @@ fn churn_config(seed: u64) -> SessionConfig {
         arrival_completion: 0.2,
         target_degree: 7,
         session_seed: seed ^ 0x0b5,
-        batched_wiring: false,
         peer_list_cap: None,
         compact_threshold: None,
     }

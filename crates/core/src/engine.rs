@@ -43,8 +43,8 @@
 //! * [`crate::prefs::GeneralDynamics`] = `Engine<PrefAcceptance>` — keys
 //!   are per-neighborhood preference positions built from any
 //!   [`crate::prefs::PreferenceSystem`]; the instant stable configuration
-//!   is the deterministic best-mate fixpoint. The dirty-set
-//!   [`crate::prefs::best_mate_dynamics`] rides on it too.
+//!   is the deterministic best-mate fixpoint, reached by
+//!   [`Engine::settle`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
@@ -541,8 +541,8 @@ impl<K: PreferenceKeys> Engine<K> {
 
     /// Has `p` take one **best-mate** initiative regardless of the
     /// configured strategy — the deterministic step the round-robin sweeps
-    /// of [`crate::prefs::best_mate_dynamics`] and the instant-stable
-    /// computation are built from. Counters update as for
+    /// of [`settle`](Self::settle) and the instant-stable computation are
+    /// built from. Counters update as for
     /// [`initiative`](Self::initiative).
     pub fn best_mate_initiative(&mut self, p: NodeId) -> InitiativeOutcome {
         if !self.present[p.index()] {
@@ -797,6 +797,14 @@ impl<K: PreferenceKeys> Engine<K> {
     /// (the generalized Figure 2 starting point), returning the number of
     /// active initiatives performed.
     ///
+    /// For cycle-free preferences this terminates (the argument of the
+    /// paper's Theorem 1: a revisit would extract a preference cycle).
+    /// Clean peers skip their scans (the dirty-set memo), and a clean
+    /// peer's scan would have found nothing, so the sequence of active
+    /// initiatives is the one the full-scan oracle
+    /// [`crate::reference::best_mate_dynamics`] performs from `C∅`: same
+    /// edge sets, same step counts, same revisit point.
+    ///
     /// # Errors
     ///
     /// Returns [`ModelError::NoStableConfiguration`] when a configuration is
@@ -848,8 +856,8 @@ impl<K: PreferenceKeys> Engine<K> {
 }
 
 /// Order-insensitive fingerprint of an arena configuration (the
-/// [`crate::prefs::PrefMatching::fingerprint`] analogue for [`Matching`],
-/// used by [`Engine::settle`]'s revisit detection).
+/// [`crate::reference::PrefMatching::fingerprint`] analogue for
+/// [`Matching`], used by [`Engine::settle`]'s revisit detection).
 fn matching_fingerprint(m: &Matching) -> u64 {
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.edge_count());
     for u in 0..m.node_count() {

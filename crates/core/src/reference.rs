@@ -4,7 +4,9 @@
 //! as plain `Vec<Vec<NodeId>>` with every rank comparison going through
 //! [`GlobalRanking::rank_of`], blocking-pair checks re-deriving saturation
 //! and worst-mate rank on each probe, and Algorithm 1 re-scanning (and
-//! rank-filtering) the full adjacency of every peer.
+//! rank-filtering) the full adjacency of every peer. For arbitrary
+//! preference systems, [`best_mate_dynamics`] runs the best-mate sweeps
+//! over an unsorted [`PrefMatching`] with live preference comparisons.
 //!
 //! They exist for two reasons and are **not** meant for production use:
 //!
@@ -19,12 +21,14 @@
 //! draws), so both drivers stay in lockstep on a shared seed for their
 //! entire run.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 use rand::Rng;
 use strat_graph::{Graph, NodeId};
 
-use crate::prefs::{PrefDynamicsOutcome, PrefMatching, PreferenceSystem};
+use crate::prefs::PreferenceSystem;
 use crate::{
     Capacities, GlobalRanking, InitiativeOutcome, InitiativeStrategy, ModelError, RankedAcceptance,
 };
@@ -505,15 +509,139 @@ impl RefDynamics {
     }
 }
 
-/// The historical full-scan implementation of
-/// [`crate::prefs::best_mate_dynamics`] (pre-engine-unification): every
+/// A b-matching configuration under arbitrary preferences (mate lists
+/// unsorted; worst-mate queries go through the preference system).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefMatching {
+    mates: Vec<Vec<NodeId>>,
+    edge_count: usize,
+}
+
+impl PrefMatching {
+    /// Empty configuration.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            mates: vec![Vec::new(); n],
+            edge_count: 0,
+        }
+    }
+
+    /// Number of peers.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.mates.len()
+    }
+
+    /// Number of collaborations.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    /// Mates of `v` (unordered).
+    #[must_use]
+    pub fn mates(&self, v: NodeId) -> &[NodeId] {
+        &self.mates[v.index()]
+    }
+
+    /// Whether `u` and `v` are matched together.
+    #[must_use]
+    pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        self.mates[u.index()].contains(&v)
+    }
+
+    fn connect(&mut self, u: NodeId, v: NodeId) {
+        debug_assert!(u != v && !self.contains(u, v));
+        self.mates[u.index()].push(v);
+        self.mates[v.index()].push(u);
+        self.edge_count += 1;
+    }
+
+    fn disconnect(&mut self, u: NodeId, v: NodeId) {
+        let pu = self.mates[u.index()]
+            .iter()
+            .position(|&w| w == v)
+            .expect("matched");
+        let pv = self.mates[v.index()]
+            .iter()
+            .position(|&w| w == u)
+            .expect("matched");
+        self.mates[u.index()].swap_remove(pu);
+        self.mates[v.index()].swap_remove(pv);
+        self.edge_count -= 1;
+    }
+
+    /// Whether `v` would welcome `candidate` under `prefs`.
+    #[must_use]
+    pub fn would_accept<P: PreferenceSystem>(
+        &self,
+        prefs: &P,
+        caps: &Capacities,
+        v: NodeId,
+        candidate: NodeId,
+    ) -> bool {
+        if v == candidate || caps.of(v) == 0 || self.contains(v, candidate) {
+            return false;
+        }
+        if self.mates[v.index()].len() < caps.of(v) as usize {
+            return true;
+        }
+        let worst = prefs
+            .worst_of(v, &self.mates[v.index()])
+            .expect("saturated peer has mates");
+        prefs.prefers(v, candidate, worst)
+    }
+
+    /// Order-insensitive fingerprint of the configuration (for cycle
+    /// detection in [`best_mate_dynamics`]).
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(self.edge_count);
+        for (u, mates) in self.mates.iter().enumerate() {
+            for &v in mates {
+                if u < v.index() {
+                    edges.push((u as u32, v.raw()));
+                }
+            }
+        }
+        edges.sort_unstable();
+        let mut hasher = DefaultHasher::new();
+        edges.hash(&mut hasher);
+        hasher.finish()
+    }
+}
+
+/// Outcome of the generalized best-mate dynamics.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PrefDynamicsOutcome {
+    /// A stable configuration was reached.
+    Stable(PrefMatching),
+    /// The dynamics revisited a configuration: a preference cycle exists on
+    /// this instance (Tan's condition fails) and no run of active
+    /// initiatives can settle from here.
+    Oscillating {
+        /// The configuration at which the revisit was detected.
+        at: PrefMatching,
+        /// Active initiatives performed before detection.
+        steps: u64,
+    },
+}
+
+/// Deterministic round-robin best-mate dynamics under arbitrary
+/// preferences, from `C∅` until stability or a configuration revisit.
+///
+/// Each sweep gives every peer one initiative: find the best acceptable
+/// blocking mate and match with it (evicting worst mates as needed). Every
 /// sweep re-scans every peer's entire neighborhood with live
 /// [`PreferenceSystem`] comparisons and re-derives saturation and worst
-/// mates per probe — no thresholds, no clean/dirty memo.
+/// mates per probe — no key table, no thresholds, no clean/dirty memo.
 ///
-/// Retained as the differential reference and benchmark baseline for the
-/// dirty-set path: both must produce identical configurations, step counts
-/// and oscillation reports on every instance.
+/// The oracle and benchmark baseline for [`crate::Engine::settle`] on a
+/// [`crate::prefs::GeneralDynamics`]: both must reach the same edge set,
+/// and an [`PrefDynamicsOutcome::Oscillating`] report must match a
+/// [`ModelError::NoStableConfiguration`] at the same configuration after
+/// the same number of active initiatives.
 ///
 /// # Panics
 ///
@@ -610,6 +738,20 @@ mod tests {
                 "({u}, {v}) blocks"
             );
         }
+    }
+
+    #[test]
+    fn pref_matching_basics() {
+        let n = NodeId::new;
+        let mut m = PrefMatching::new(3);
+        m.connect(n(0), n(2));
+        assert!(m.contains(n(2), n(0)));
+        assert_eq!(m.edge_count(), 1);
+        let f1 = m.fingerprint();
+        m.disconnect(n(0), n(2));
+        assert_eq!(m.edge_count(), 0);
+        m.connect(n(2), n(0));
+        assert_eq!(m.fingerprint(), f1, "fingerprint must be order-insensitive");
     }
 
     #[test]

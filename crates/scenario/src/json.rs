@@ -167,7 +167,6 @@ mod tests {
                     arrival_completion: 0.05,
                     target_degree: 12,
                     session_seed: 99,
-                    batched_wiring: false,
                     peer_list_cap: Some(16),
                     compact_threshold: Some(0.5),
                 }),
@@ -314,7 +313,6 @@ mod tests {
                     seed_exodus_round: Some(40),
                     ..DepartureRules::none()
                 },
-                batched_wiring: true,
                 peer_list_cap: Some(16),
                 compact_threshold: Some(0.5),
                 ..SessionConfig::default()
@@ -339,13 +337,12 @@ mod tests {
         }
         /// Resets the field a row's key encodes to its absent value.
         type Omit = fn(&mut Scenario);
-        let rows: [(&str, Omit); 11] = [
+        let rows: [(&str, Omit); 10] = [
             ("swarm", |s| s.swarm = None),
             ("churn", |s| swarm(s).churn = None),
             ("faults", |s| swarm(s).faults = None),
             ("timing", |s| swarm(s).timing = None),
             ("universe", |s| swarm(s).universe = None),
-            ("batched_wiring", |s| churn(s).batched_wiring = false),
             ("peer_list_cap", |s| churn(s).peer_list_cap = None),
             ("compact_threshold", |s| churn(s).compact_threshold = None),
             ("seed_exodus_round", |s| {

@@ -8,9 +8,9 @@ use strat_bittorrent::universe::{
 };
 use strat_bittorrent::{EventEngine, EventTiming, FaultPlan, Swarm, SwarmConfig};
 use strat_core::{
-    stable_configuration, stable_configuration_complete, stable_configuration_masked, Capacities,
-    ChurnProcess, Engine, GlobalRanking, InitiativeStrategy, Matching, PrefAcceptance,
-    PreferenceKeys, Rank, RankedAcceptance,
+    stable_configuration, stable_configuration_complete, Capacities, ChurnProcess, Engine,
+    GlobalRanking, InitiativeStrategy, Matching, PrefAcceptance, PreferenceKeys, Rank,
+    RankedAcceptance,
 };
 use strat_graph::{Graph, NodeId};
 
@@ -547,22 +547,6 @@ impl Scenario {
         }
     }
 
-    /// The stable configuration restricted to peers where `present`
-    /// holds (non-complete topologies; the churn experiments' metric).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn stable_matching_masked<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        present: impl Fn(strat_graph::NodeId) -> bool,
-    ) -> Result<Matching, ScenarioError> {
-        let acc = self.build_acceptance(rng)?;
-        let caps = self.build_capacities(rng)?;
-        Ok(stable_configuration_masked(&acc, &caps, present)?)
-    }
-
     /// Checks the swarm section's values, and those of every sub-section
     /// it carries (churn, faults, timing, universe), without drawing any
     /// randomness. Every swarm-side `build_*` method calls it after finding
@@ -723,8 +707,9 @@ impl Scenario {
     /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm, a
     /// swarm section that combines `timing` with a fault plan (the fault
     /// plane is a round-engine construct; the event engine does not
-    /// consume it), or when [`validate`](Self::validate) fails; otherwise
-    /// propagates component failures.
+    /// consume it), a compacting churn section (the event engine never
+    /// compacts its arena), or when [`validate`](Self::validate) fails;
+    /// otherwise propagates component failures.
     pub fn build_event_engine<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -743,6 +728,18 @@ impl Scenario {
                 what: "swarm timing",
                 reason: "fault plans are a round-engine construct; \
                          remove `swarm.faults` or `swarm.timing`"
+                    .to_string(),
+            });
+        }
+        if params
+            .churn
+            .as_ref()
+            .is_some_and(|churn| churn.compact_threshold.is_some())
+        {
+            return Err(ScenarioError::InvalidParameter {
+                what: "swarm timing",
+                reason: "the event engine never compacts its arena; \
+                         remove `swarm.churn.compact_threshold`"
                     .to_string(),
             });
         }
@@ -1120,6 +1117,23 @@ mod tests {
         });
         assert!(matches!(
             faulted.build_event_engine(&mut rng(1)),
+            Err(ScenarioError::InvalidParameter {
+                what: "swarm timing",
+                ..
+            })
+        ));
+        // The event engine never compacts: a compaction trigger would be
+        // silently dropped, so it is rejected.
+        let compacting = base.clone().with_swarm(SwarmParams {
+            timing: Some(EventTiming::default()),
+            churn: Some(SessionConfig {
+                compact_threshold: Some(0.5),
+                ..SessionConfig::default()
+            }),
+            ..SwarmParams::default()
+        });
+        assert!(matches!(
+            compacting.build_event_engine(&mut rng(1)),
             Err(ScenarioError::InvalidParameter {
                 what: "swarm timing",
                 ..

@@ -131,7 +131,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
                 arrival_completion: 0.0,
                 target_degree: 20,
                 session_seed: ctx.seed ^ 0xc4a9,
-                batched_wiring: false,
                 peer_list_cap: None,
                 compact_threshold: None,
             }),

@@ -159,7 +159,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
                 arrival_completion: 0.0,
                 target_degree: 20,
                 session_seed: ctx.seed ^ 0xe7e4,
-                batched_wiring: false,
                 peer_list_cap: None,
                 compact_threshold: None,
             }),

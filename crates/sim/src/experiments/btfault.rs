@@ -153,7 +153,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
                 arrival_completion: 0.0,
                 target_degree: 16,
                 session_seed: ctx.seed ^ 0xfa07,
-                batched_wiring: false,
                 peer_list_cap: None,
                 compact_threshold: None,
             }),

@@ -101,7 +101,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
                 arrival_completion: 0.0,
                 target_degree: TARGET_DEGREE,
                 session_seed: ctx.seed ^ 0x0b7a,
-                batched_wiring: false,
                 peer_list_cap: None,
                 compact_threshold: None,
             }),

@@ -13,10 +13,10 @@
 //!   tunable by the class width.
 
 use strat_core::prefs::{
-    best_mate_dynamics, BandedRankPrefs, GlobalPrefs, LatencyPrefs, LexicographicPrefs,
-    PrefDynamicsOutcome, PrefMatching, PreferenceSystem,
+    BandedRankPrefs, GeneralDynamics, GlobalPrefs, LatencyPrefs, LexicographicPrefs,
+    PreferenceSystem,
 };
-use strat_core::{Capacities, GlobalRanking};
+use strat_core::{Capacities, GlobalRanking, InitiativeStrategy, Matching};
 use strat_graph::{Graph, NodeId};
 use strat_scenario::{CapacityModel, PreferenceModel, Scenario, TopologyModel};
 
@@ -29,7 +29,7 @@ struct Measured {
     matched_edges: usize,
 }
 
-fn measure(matching: &PrefMatching, ranking: &GlobalRanking, latency: &LatencyPrefs) -> Measured {
+fn measure(matching: &Matching, ranking: &GlobalRanking, latency: &LatencyPrefs) -> Measured {
     let mut offset = 0.0f64;
     let mut dist = 0.0f64;
     let mut count = 0.0f64;
@@ -48,13 +48,14 @@ fn measure(matching: &PrefMatching, ranking: &GlobalRanking, latency: &LatencyPr
     }
 }
 
-fn settle<P: PreferenceSystem>(graph: &Graph, prefs: &P, caps: &Capacities) -> PrefMatching {
-    match best_mate_dynamics(graph, prefs, caps) {
-        PrefDynamicsOutcome::Stable(m) => m,
-        PrefDynamicsOutcome::Oscillating { .. } => {
-            unreachable!("cycle-free utility classes cannot oscillate")
-        }
-    }
+fn settle<P: PreferenceSystem>(graph: &Graph, prefs: &P, caps: &Capacities) -> GeneralDynamics {
+    let mut dynamics =
+        GeneralDynamics::from_preferences(graph, prefs, caps.clone(), InitiativeStrategy::BestMate)
+            .expect("capacities cover the graph");
+    dynamics
+        .settle()
+        .expect("cycle-free utility classes cannot oscillate");
+    dynamics
 }
 
 /// The EXT1 scenario: the §7 combined utility — banded rank classes of
@@ -106,7 +107,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
 
     // Pure rank (class width 1 ≡ exact global ranking).
     let pure_rank = measure(
-        &settle(&graph, &GlobalPrefs::new(ranking.clone()), &caps),
+        settle(&graph, &GlobalPrefs::new(ranking.clone()), &caps).matching(),
         &ranking,
         &latency,
     );
@@ -124,7 +125,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
             BandedRankPrefs::new(ranking.clone(), width.max(2)),
             latency.clone(),
         );
-        let measured = measure(&settle(&graph, &prefs, &caps), &ranking, &latency);
+        let measured = measure(settle(&graph, &prefs, &caps).matching(), &ranking, &latency);
         result.push_row(vec![
             width as f64,
             measured.mean_rank_offset,
@@ -135,7 +136,11 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
     }
 
     // Pure latency (class width n ≡ one class; rank ignored).
-    let pure_latency = measure(&settle(&graph, &latency, &caps), &ranking, &latency);
+    let pure_latency = measure(
+        settle(&graph, &latency, &caps).matching(),
+        &ranking,
+        &latency,
+    );
     result.push_row(vec![
         n as f64,
         pure_latency.mean_rank_offset,

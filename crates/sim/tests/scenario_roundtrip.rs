@@ -118,3 +118,27 @@ fn run_scenario_on_parsed_preset_reproduces_run() {
         assert_eq!(direct.checks, via_json.checks, "{} checks", entry.id);
     }
 }
+
+/// Preset files written by earlier builds (`results/scenarios/legacy/`),
+/// each of which must still parse to today's full-profile preset: keys a
+/// build no longer knows are ignored.
+const LEGACY_PRESETS: &[(&str, &str)] = &[
+    // Carries the churn section's removed tracker-wiring flag.
+    (
+        "btchurn",
+        include_str!("../../../results/scenarios/legacy/btchurn.json"),
+    ),
+];
+
+#[test]
+fn legacy_preset_files_parse_to_current_presets() {
+    let full = ExperimentContext {
+        quick: false,
+        seed: 2007,
+    };
+    for &(id, json) in LEGACY_PRESETS {
+        let entry = runner::find(id).unwrap_or_else(|| panic!("{id} is registered"));
+        let parsed = Scenario::from_json(json).unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(parsed, (entry.preset)(&full), "{id}: legacy file");
+    }
+}

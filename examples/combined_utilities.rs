@@ -9,13 +9,13 @@
 use rand::Rng;
 use rand::SeedableRng;
 use stratification::core::prefs::{
-    best_mate_dynamics, BandedRankPrefs, GlobalPrefs, LatencyPrefs, LexicographicPrefs,
-    PrefDynamicsOutcome, PrefMatching, PreferenceSystem,
+    BandedRankPrefs, GeneralDynamics, GlobalPrefs, LatencyPrefs, LexicographicPrefs,
+    PreferenceSystem,
 };
-use stratification::core::{gossip, Capacities, GlobalRanking};
+use stratification::core::{gossip, Capacities, GlobalRanking, InitiativeStrategy, Matching};
 use stratification::graph::{generators, NodeId};
 
-fn report(label: &str, matching: &PrefMatching, ranking: &GlobalRanking, latency: &LatencyPrefs) {
+fn report(label: &str, matching: &Matching, ranking: &GlobalRanking, latency: &LatencyPrefs) {
     let (mut offset, mut dist, mut count) = (0.0, 0.0, 0.0f64);
     for v in 0..matching.node_count() {
         let v_id = NodeId::new(v);
@@ -36,11 +36,12 @@ fn settle<P: PreferenceSystem>(
     graph: &stratification::graph::Graph,
     prefs: &P,
     caps: &Capacities,
-) -> PrefMatching {
-    match best_mate_dynamics(graph, prefs, caps) {
-        PrefDynamicsOutcome::Stable(m) => m,
-        PrefDynamicsOutcome::Oscillating { .. } => unreachable!("cycle-free utilities"),
-    }
+) -> GeneralDynamics {
+    let mut dynamics =
+        GeneralDynamics::from_preferences(graph, prefs, caps.clone(), InitiativeStrategy::BestMate)
+            .expect("capacities cover the graph");
+    dynamics.settle().expect("cycle-free utilities");
+    dynamics
 }
 
 fn main() {
@@ -54,7 +55,7 @@ fn main() {
     println!("== trading stratification for locality (n={n}, b0=3, d=24) ==");
     report(
         "pure bandwidth ranking",
-        &settle(&graph, &GlobalPrefs::new(ranking.clone()), &caps),
+        settle(&graph, &GlobalPrefs::new(ranking.clone()), &caps).matching(),
         &ranking,
         &latency,
     );
@@ -65,14 +66,14 @@ fn main() {
         );
         report(
             &format!("rank classes of {width} + latency"),
-            &settle(&graph, &prefs, &caps),
+            settle(&graph, &prefs, &caps).matching(),
             &ranking,
             &latency,
         );
     }
     report(
         "pure latency",
-        &settle(&graph, &latency, &caps),
+        settle(&graph, &latency, &caps).matching(),
         &ranking,
         &latency,
     );
@@ -81,9 +82,9 @@ fn main() {
     for k in [5usize, 25, 100] {
         let estimated = gossip::estimate_ranking(&ranking, k, &mut rng);
         let distortion = gossip::ranking_distortion(&ranking, &estimated);
-        let matching = settle(&graph, &GlobalPrefs::new(estimated), &caps);
+        let dynamics = settle(&graph, &GlobalPrefs::new(estimated), &caps);
         print!("sample size {k:>3} (rank distortion {distortion:>5.1}):  ");
-        report("", &matching, &ranking, &latency);
+        report("", dynamics.matching(), &ranking, &latency);
     }
     println!(
         "\ncoarser rank classes buy locality at a small stratification cost; and even \

@@ -273,7 +273,6 @@ fn burst_arrival_transient_follows_fluid_oracle() {
         arrival_completion: 0.0,
         target_degree: 20,
         session_seed: 0xb1257,
-        batched_wiring: false,
         peer_list_cap: None,
         compact_threshold: None,
     };
@@ -350,7 +349,6 @@ fn seed_exodus_transient_follows_fluid_oracle() {
         arrival_completion: 0.0,
         target_degree: 20,
         session_seed: 0xe50d,
-        batched_wiring: false,
         peer_list_cap: None,
         compact_threshold: None,
     };
@@ -447,7 +445,6 @@ fn abort_ramp_transient_follows_fluid_oracle() {
         arrival_completion: 0.0,
         target_degree: 20,
         session_seed: 0xab07,
-        batched_wiring: false,
         peer_list_cap: None,
         compact_threshold: None,
     };
