@@ -68,7 +68,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -79,6 +78,7 @@ use crate::observer::{NullObserver, RunObserver};
 use crate::piece::PieceSet;
 use crate::session::{ArrivalProcess, SessionConfig};
 use crate::swarm::{peer_round_rng, PeerId, Swarm};
+use crate::tracker::Tracker;
 
 /// Domain separator for per-event ChaCha streams ("eventseq"): churn,
 /// announce, and arrival draws are keyed `(seed ^ SEP, stream = seq)` so
@@ -346,11 +346,8 @@ pub struct EventEngine {
     plan_pieces: Vec<PieceSet>,
     /// Arrival time in interval units (0 for initial peers).
     arrival_time: Vec<f64>,
-    /// Position in `present_slots` (`u32::MAX` when absent).
-    slot_pos: Vec<u32>,
-    /// Present arena slots, swap-removed on departure (tracker
-    /// candidate list).
-    present_slots: Vec<u32>,
+    /// The present peers tracker wiring hands out.
+    tracker: Tracker,
 
     /// Availability snapshot refreshed on timestamp advance after any
     /// rechoke — the event-clock `avail_prev` that piece picks draw
@@ -361,7 +358,6 @@ pub struct EventEngine {
     // Reusable scratch.
     targets: Vec<(u32, bool)>,
     picks: Vec<u64>,
-    wire_scratch: Vec<u32>,
 
     /// Arrivals admitted so far (drives round-robin class assignment).
     arrival_counter: u64,
@@ -426,13 +422,11 @@ impl EventEngine {
             generation: vec![0; n],
             plan_pieces: Vec::with_capacity(n),
             arrival_time: vec![0.0; n],
-            slot_pos: vec![u32::MAX; n],
-            present_slots: Vec::with_capacity(n),
+            tracker: Tracker::default(),
             snapshot,
             snapshot_dirty: false,
             targets: Vec::new(),
             picks: Vec::new(),
-            wire_scratch: Vec::new(),
             arrival_counter: 0,
             arrivals_pushed: 0,
             completions: Vec::new(),
@@ -444,11 +438,8 @@ impl EventEngine {
         }
         for p in 0..n {
             engine.plan_pieces.push(engine.swarm.pieces_at(p).clone());
-            if engine.swarm.is_present(p) {
-                engine.slot_pos[p] = engine.present_slots.len() as u32;
-                engine.present_slots.push(p as u32);
-            }
         }
+        engine.tracker = Tracker::new((0..n).filter(|&p| engine.swarm.is_present(p)));
         engine.schedule_genesis();
         engine
     }
@@ -904,13 +895,7 @@ impl EventEngine {
             self.detach_edge(d, k, tau, obs);
         }
         self.swarm.depart(d);
-        let pos = self.slot_pos[d] as usize;
-        self.present_slots.swap_remove(pos);
-        if pos < self.present_slots.len() {
-            let moved = self.present_slots[pos] as usize;
-            self.slot_pos[moved] = pos as u32;
-        }
-        self.slot_pos[d] = u32::MAX;
+        self.tracker.remove(d);
         self.generation[d] = self.generation[d].wrapping_add(1);
     }
 
@@ -987,16 +972,15 @@ impl EventEngine {
     }
 
     /// Arrival event: draw the newcomer's initial pieces from its
-    /// per-event stream, admit it into the arena, wire it to shuffled
-    /// tracker candidates, arm its churn timers, and align its first
+    /// per-event stream, admit it into the arena, wire it to the
+    /// tracker's candidates, arm its churn timers, and align its first
     /// rechoke to the tick grid. Poisson arrivals chain the next
     /// inter-arrival gap from the same stream.
     fn fire_arrival<O: RunObserver>(&mut self, chain: bool, seq: u64, tau: f64, obs: &O) {
-        let (upload, completion, target, abort_p, linger_p, seed, rate, cap) = match &self.churn {
+        let (upload, completion, abort_p, linger_p, seed, rate) = match &self.churn {
             Some(ch) => (
                 ch.arrival_upload_kbps,
                 ch.arrival_completion,
-                ch.target_degree,
                 ch.departure.abort_prob,
                 ch.departure.seed_leave_prob,
                 ch.session_seed,
@@ -1004,21 +988,17 @@ impl EventEngine {
                     ArrivalProcess::Poisson { rate } => rate,
                     _ => 0.0,
                 },
-                ch.peer_list_cap,
             ),
             None => return,
         };
         self.stats.arrivals += 1;
         let mut rng = event_seq_rng(seed, seq);
         let piece_count = self.swarm.config().piece_count;
-        let mut pieces = PieceSet::new(piece_count);
-        if completion > 0.0 {
-            for piece in 0..piece_count {
-                if rng.gen_bool(completion) {
-                    pieces.insert(piece);
-                }
-            }
-        }
+        let pieces = if completion > 0.0 {
+            PieceSet::random(piece_count, completion, &mut rng)
+        } else {
+            PieceSet::new(piece_count)
+        };
         let complete = pieces.is_complete();
         let slot = self.swarm.arrive(upload, PeerBehavior::Compliant, pieces);
         self.sync_capacity(tau);
@@ -1027,8 +1007,7 @@ impl EventEngine {
         self.arrival_counter += 1;
         self.arrival_time[slot] = tau;
         self.plan_pieces[slot].clone_from(self.swarm.pieces_at(slot));
-        self.slot_pos[slot] = self.present_slots.len() as u32;
-        self.present_slots.push(slot as u32);
+        self.tracker.insert(slot);
         // The newcomer changes availability: piece picks after this
         // timestamp must see it.
         self.snapshot_dirty = true;
@@ -1036,7 +1015,7 @@ impl EventEngine {
         if O::ENABLED {
             obs.arrival(tau, slot);
         }
-        self.wire_shuffled(slot, target, cap, &mut rng, tau);
+        self.wire(slot, &mut rng, tau);
         if !complete && abort_p > 0.0 {
             let gap = round_prob_gap(&mut rng, abort_p);
             self.push(tau + gap, K_DEPART, slot as u64, 1, gen);
@@ -1065,7 +1044,7 @@ impl EventEngine {
     }
 
     /// Tracker announce: if the peer sits below the churn target
-    /// degree, wire it to shuffled candidates; then queue the next
+    /// degree, wire it to the tracker's candidates; then queue the next
     /// announce.
     fn fire_announce<O: RunObserver>(&mut self, p: PeerId, gen: u64, seq: u64, tau: f64, obs: &O) {
         if self.generation[p] != gen || !self.swarm.is_present(p) {
@@ -1075,50 +1054,37 @@ impl EventEngine {
         if O::ENABLED {
             obs.announce(tau, p);
         }
-        let (target, seed, cap) = match &self.churn {
-            Some(ch) => (ch.target_degree, ch.session_seed, ch.peer_list_cap),
-            None => return,
+        let Some(seed) = self.churn.as_ref().map(|ch| ch.session_seed) else {
+            return;
         };
-        if self.swarm.degree(p) < target {
-            let mut rng = event_seq_rng(seed, seq);
-            self.wire_shuffled(p, target, cap, &mut rng, tau);
-        }
+        self.wire(p, &mut event_seq_rng(seed, seq), tau);
         if let Some(ai) = self.announce_intervals {
             self.push(tau + ai, K_ANNOUNCE, p as u64, 0, gen);
         }
     }
 
-    /// One shuffled candidate pass over the present peers: connects
-    /// `slot` to candidates in shuffled order until it reaches `target`
-    /// degree (capacity and duplicate edges are rejected by the arena).
-    /// A tracker peer-list cap limits the pass to the first `cap`
-    /// shuffled candidates — i.e. the uniform subset the tracker handed
-    /// out; `None` scans the whole list (legacy behaviour, draw-for-draw
-    /// identical since the full shuffle happens either way).
-    fn wire_shuffled(
-        &mut self,
-        slot: PeerId,
-        target: usize,
-        cap: Option<usize>,
-        rng: &mut ChaCha8Rng,
-        tau: f64,
-    ) {
-        let mut cands = std::mem::take(&mut self.wire_scratch);
-        cands.clear();
-        cands.extend_from_slice(&self.present_slots);
-        cands.shuffle(rng);
-        let handed = cap.map_or(cands.len(), |c| c.min(cands.len()));
-        for &c in &cands[..handed] {
-            if self.swarm.degree(slot) >= target {
-                break;
-            }
-            let q = c as usize;
-            if q == slot {
-                continue;
-            }
-            self.connect_mirrored(slot, q, tau);
-        }
-        self.wire_scratch = cands;
+    /// Tracker wiring: connects `slot` to the tracker's candidates
+    /// ([`Tracker::hand_out`] under the churn's `peer_list_cap`) until it
+    /// reaches the churn's `target_degree` (capacity and duplicate edges
+    /// are rejected by the arena).
+    fn wire(&mut self, slot: PeerId, rng: &mut ChaCha8Rng, tau: f64) {
+        let Some(churn) = &self.churn else {
+            return;
+        };
+        let (target, cap) = (churn.target_degree, churn.peer_list_cap);
+        let mut tracker = std::mem::take(&mut self.tracker);
+        tracker.hand_out(
+            cap,
+            rng,
+            self,
+            |engine| engine.swarm.degree(slot) >= target,
+            |engine, q| {
+                if q != slot {
+                    engine.connect_mirrored(slot, q, tau);
+                }
+            },
+        );
+        self.tracker = tracker;
     }
 
     /// Connects `p`–`q` in the arena and initialises the engine state of
@@ -1146,7 +1112,6 @@ impl EventEngine {
             self.class.resize(n, 0);
             self.generation.resize(n, 0);
             self.arrival_time.resize(n, 0.0);
-            self.slot_pos.resize(n, u32::MAX);
             self.plan_pieces
                 .resize_with(n, || PieceSet::new(piece_count));
         }
@@ -1232,7 +1197,7 @@ impl EventEngine {
     /// Number of present peers.
     #[must_use]
     pub fn present_count(&self) -> usize {
-        self.present_slots.len()
+        self.tracker.len()
     }
 
     /// Speed class of peer `p`.

@@ -1,5 +1,6 @@
 //! Piece sets: fixed-size bitsets over the pieces of the shared file.
 
+use rand::Rng;
 use serde::Serialize;
 
 /// Words stored inline before falling back to the heap: 4 × 64 = 256
@@ -82,6 +83,21 @@ impl PieceSet {
             piece_count,
             held: 0,
         }
+    }
+
+    /// A set holding each of `piece_count` pieces independently with
+    /// probability `completion`: one `gen_bool` draw per piece, in piece
+    /// order (every initial or arriving peer's pieces come from here).
+    pub(crate) fn random<R: Rng + ?Sized>(
+        piece_count: usize,
+        completion: f64,
+        rng: &mut R,
+    ) -> Self {
+        let mut set = Self::new(piece_count);
+        for piece in (0..piece_count).filter(|_| rng.gen_bool(completion)) {
+            set.insert(piece);
+        }
+        set
     }
 
     /// A complete set (a seed's pieces).

@@ -44,6 +44,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::faults::{fault_rng, FaultPlan, CRASH_EVENT, REPAIR_EVENT};
 use crate::observer::{NullObserver, RunObserver};
+use crate::tracker::Tracker;
 use crate::{PeerBehavior, PeerId, PieceSet, Population, Swarm};
 
 /// One independent ChaCha stream per `(round, event)` pair — the session
@@ -197,13 +198,12 @@ pub struct SessionConfig {
     pub session_seed: u64,
     /// Tracker peer-list cap: the maximum number of *candidate* peers
     /// the tracker hands out per wiring request (Al-Hamra et al.,
-    /// *Understanding the Properties of the BitTorrent Overlay*). `None`
-    /// (the default, and the legacy behaviour) lets wiring consider the
-    /// whole present population; `Some(c)` draws at most `c` uniform
-    /// candidates per request, so a peer can connect to at most
-    /// `min(c, target_degree)` neighbours per announce and the overlay
-    /// gets sparser and wider as `c` shrinks. `None` is bit-identical to
-    /// pre-cap builds.
+    /// *Understanding the Properties of the BitTorrent Overlay*), whether
+    /// an arrival, a universe join, a fault repair or an event-engine
+    /// announce. `None` (the default) hands out the whole present
+    /// population; `Some(c)` at most `c` distinct uniform candidates, so
+    /// a peer can connect to at most `min(c, target_degree)` neighbours
+    /// per request and the overlay gets sparser and wider as `c` shrinks.
     #[serde(default)]
     pub peer_list_cap: Option<usize>,
     /// Arena-compaction trigger: when the dead-slot fraction
@@ -435,13 +435,9 @@ pub struct Session {
     /// publishers, even when they arrive holding the complete file (such
     /// peers behave like freshly promoted seeds and stay mortal).
     publisher: Vec<bool>,
-    /// Dense list of the present arena slots (swap-removed on departure),
-    /// so tracker wiring samples uniformly over **present** peers instead
-    /// of rejection-sampling an arena that may be mostly free-listed.
-    present_slots: Vec<u32>,
-    /// `slot_pos[slot]` locates the slot inside `present_slots`
-    /// ([`ABSENT`] when departed).
-    slot_pos: Vec<u32>,
+    /// The present peers tracker wiring hands out (a mostly free-listed
+    /// arena cannot starve a request of candidates).
+    tracker: Tracker,
     stats: SessionStats,
     /// True when both processes are inert — the zero-churn fast path that
     /// keeps the session bit-identical to the closed engine.
@@ -499,9 +495,6 @@ fn backoff_delay(attempt: u32, rng: &mut ChaCha8Rng) -> u64 {
     base + rng.gen_range(0..base)
 }
 
-/// `slot_pos` sentinel for departed slots.
-const ABSENT: u32 = u32::MAX;
-
 impl Session {
     /// Wraps a (piece-mode) swarm in an open-membership session. Reserves
     /// overlay slack so tracker rewiring has room to splice edges.
@@ -554,8 +547,7 @@ impl Session {
             completion_recorded: vec![false; n],
             leave_decided: vec![false; n],
             publisher,
-            present_slots: (0..n as u32).collect(),
-            slot_pos: (0..n as u32).collect(),
+            tracker: Tracker::new(0..n),
             stats: SessionStats::default(),
             inert,
             faults,
@@ -823,12 +815,13 @@ impl Session {
 
     /// Admits one externally driven peer — the cross-swarm tracker's
     /// join — with the given upload capacity, drawing its initial pieces
-    /// (i.i.d. per piece at `completion`) and tracker wiring from the
-    /// **caller's** stream. The join honours `target_degree` and
-    /// `peer_list_cap` exactly like a session arrival, counts in
-    /// `stats.arrivals`, and returns the generation-tagged handle. It is
-    /// *not* recorded for [`drain_recent_arrivals`]: the universe layer
-    /// claims session arrivals, not its own joins.
+    /// (i.i.d. per piece at `completion`; none drawn at zero) and tracker
+    /// wiring from the **caller's** stream. Session arrivals are admitted
+    /// through here too, so a join honours `target_degree` and
+    /// `peer_list_cap` exactly like one, counts in `stats.arrivals`, and
+    /// returns the generation-tagged handle. It is *not* recorded for
+    /// [`drain_recent_arrivals`]: the universe layer claims session
+    /// arrivals, not its own joins.
     ///
     /// [`drain_recent_arrivals`]: Self::drain_recent_arrivals
     ///
@@ -848,18 +841,19 @@ impl Session {
             "join completion must be a probability in [0, 1], got {completion}"
         );
         let round = self.swarm.round_count();
-        let mut pieces = PieceSet::new(self.swarm.config().piece_count);
-        if completion > 0.0 {
-            for piece in 0..self.swarm.config().piece_count {
-                if rng.gen_bool(completion) {
-                    pieces.insert(piece);
-                }
-            }
-        }
+        let piece_count = self.swarm.config().piece_count;
+        let pieces = if completion > 0.0 {
+            PieceSet::random(piece_count, completion, rng)
+        } else {
+            PieceSet::new(piece_count)
+        };
         let slot = self
             .swarm
             .arrive(upload_kbps, PeerBehavior::Compliant, pieces);
         if self.swarm.stream_of(slot) != slot {
+            // A post-compaction arrival: its stream identity (a recycled
+            // dead slot's) no longer matches its arena slot, so the
+            // per-slot passes must start sorting by stream.
             self.stream_order_diverged = true;
         }
         self.on_slot_filled(slot, round);
@@ -959,16 +953,9 @@ impl Session {
         retain_live(&remap, &mut self.leave_decided);
         retain_live(&remap, &mut self.publisher);
         self.generation.fill(floor);
-        // The dense present list keeps its positional order (tracker
-        // wiring draws positions into it); only the slot values move.
-        for slot in &mut self.present_slots {
-            *slot = remap[*slot as usize];
-            debug_assert_ne!(*slot, u32::MAX);
-        }
-        self.slot_pos = vec![ABSENT; self.swarm.peer_count()];
-        for (pos, &slot) in self.present_slots.iter().enumerate() {
-            self.slot_pos[slot as usize] = pos as u32;
-        }
+        // The present list keeps its order (tracker wiring draws
+        // positions into it); only the slot values move.
+        self.tracker.remap(&remap);
         self.compactions += 1;
     }
 
@@ -1030,7 +1017,7 @@ impl Session {
             }
             self.stats.announce_retries += 1;
             if tracker_up {
-                self.admit_arrival(entry.rng, round, obs);
+                self.admit_arrival(entry.rng, obs);
             } else {
                 entry.attempt += 1;
                 entry.next_retry = round + backoff_delay(entry.attempt, &mut entry.rng);
@@ -1042,8 +1029,9 @@ impl Session {
 
     /// Fault event [`REPAIR_EVENT`] of the round: reconnect-to-target-
     /// degree repair. Peers left under the tracker wiring degree by
-    /// crashes or partition cuts ask the tracker for fresh contacts —
-    /// so the pass only runs for plans that damage the overlay
+    /// crashes or partition cuts ask the tracker for fresh contacts,
+    /// wired like an arrival (same hand-out, same `peer_list_cap`) — so
+    /// the pass only runs for plans that damage the overlay
     /// ([`FaultPlan::repair_enabled`]), and only while the tracker is
     /// up. While a partition is active, cross-half candidates are
     /// refused and the degree ceiling halves (the tracker's candidate
@@ -1055,30 +1043,12 @@ impl Session {
         if !self.faults.repair_enabled() || self.faults.outage_active(round) {
             return;
         }
-        let present = self.present_slots.len();
-        if present <= 1 {
-            return;
-        }
-        let partitioned = self.faults.partition_active(round);
-        let target = self.effective_target(partitioned);
         let mut rng = fault_rng(self.faults.fault_seed, round, REPAIR_EVENT);
-        let max_attempts = 12 * target + 24;
         let order = self.take_pass_order();
         for &p in &order {
             let p = p as usize;
-            if self.swarm.degree(p) >= target {
-                continue;
-            }
             let before = self.swarm.degree(p);
-            let mut attempts = 0usize;
-            while self.swarm.degree(p) < target && attempts < max_attempts {
-                attempts += 1;
-                let q = self.present_slots[rng.gen_range(0..present)] as usize;
-                if q == p || (partitioned && FaultPlan::cross_partition(p, q)) {
-                    continue;
-                }
-                self.swarm.connect_peers(p, q);
-            }
+            self.wire(p, &mut rng, round);
             self.stats.repaired_edges += (self.swarm.degree(p) - before) as u64;
         }
         self.pass_buf = order;
@@ -1141,103 +1111,50 @@ impl Session {
                 self.stats.deferred_announces += 1;
                 continue;
             }
-            self.admit_arrival(rng, round, obs);
+            self.admit_arrival(rng, obs);
         }
     }
 
-    /// Admits one arrival, drawing its initial pieces and tracker wiring
-    /// from `rng` (the arrival's own event stream, whether fresh or
-    /// carried through an outage queue).
-    fn admit_arrival<O: RunObserver>(&mut self, mut rng: ChaCha8Rng, round: u64, obs: &O) {
-        let mut pieces = PieceSet::new(self.swarm.config().piece_count);
-        if self.config.arrival_completion > 0.0 {
-            for piece in 0..self.swarm.config().piece_count {
-                if rng.gen_bool(self.config.arrival_completion) {
-                    pieces.insert(piece);
-                }
-            }
-        }
-        let slot = self.swarm.arrive(
-            self.config.arrival_upload_kbps,
-            PeerBehavior::Compliant,
-            pieces,
-        );
-        if self.swarm.stream_of(slot) != slot {
-            // A post-compaction arrival: its stream identity (a recycled
-            // dead slot's) no longer matches its arena slot, so the
-            // per-slot passes must start sorting by stream.
-            self.stream_order_diverged = true;
-        }
-        self.on_slot_filled(slot, round);
-        self.stats.arrivals += 1;
+    /// Admits one session arrival with the configured capacity and
+    /// completion, drawing its initial pieces and tracker wiring from
+    /// `rng` (the arrival's own event stream, whether fresh or carried
+    /// through an outage queue).
+    fn admit_arrival<O: RunObserver>(&mut self, mut rng: ChaCha8Rng, obs: &O) {
+        let upload = self.config.arrival_upload_kbps;
+        let id = self.join_with(upload, self.config.arrival_completion, &mut rng, obs);
         if self.track_arrivals {
-            self.recent_arrivals.push(self.id_of(slot));
+            self.recent_arrivals.push(id);
         }
-        if O::ENABLED {
-            obs.arrival(round as f64, slot);
-        }
-        self.wire(slot, &mut rng, round);
     }
 
-    /// Tracker wiring: connects `slot` to up to `target_degree` distinct
-    /// random **present** peers, drawn uniformly from the dense
-    /// present-slot list (so a mostly free-listed arena cannot starve an
-    /// arrival of edges; the bounded attempt budget only absorbs
-    /// duplicate/full-row collisions). While a partition is active the
-    /// tracker refuses cross-half candidates.
+    /// Tracker wiring: connects `slot` to the tracker's candidates
+    /// ([`Tracker::hand_out`] under `peer_list_cap`) until it reaches the
+    /// wiring degree in force. While a partition is active the tracker
+    /// refuses cross-half candidates. Arrivals, universe joins and fault
+    /// repair all wire through here.
     fn wire(&mut self, slot: PeerId, rng: &mut ChaCha8Rng, round: u64) {
-        let present = self.present_slots.len();
-        if present <= 1 {
-            return;
-        }
         let partitioned = self.faults_active && self.faults.partition_active(round);
-        let target = self.effective_target(partitioned);
-        if let Some(cap) = self.config.peer_list_cap {
-            // Capped tracker: hand out at most `cap` *distinct* uniform
-            // candidates (partial Fisher–Yates over a present-list copy),
-            // then let the arrival connect to as many as fit. The `None`
-            // branch below is the untouched legacy path, bit-identical
-            // to pre-cap builds.
-            let mut cands = self.present_slots.clone();
-            let handed = cap.min(cands.len());
-            for i in 0..handed {
-                if self.swarm.degree(slot) >= target {
-                    break;
-                }
-                let j = rng.gen_range(i..cands.len());
-                cands.swap(i, j);
-                let q = cands[i] as usize;
-                if q == slot || (partitioned && FaultPlan::cross_partition(slot, q)) {
-                    continue;
-                }
-                // `connect_peers` rejects duplicates and full rows on its
-                // own.
-                self.swarm.connect_peers(slot, q);
-            }
-            return;
-        }
-        let mut attempts = 0usize;
-        let max_attempts = 12 * target + 24;
-        while self.swarm.degree(slot) < target && attempts < max_attempts {
-            attempts += 1;
-            let q = self.present_slots[rng.gen_range(0..present)] as usize;
-            if q == slot || (partitioned && FaultPlan::cross_partition(slot, q)) {
-                continue;
-            }
-            // `connect_peers` rejects duplicates and full rows on its own.
-            self.swarm.connect_peers(slot, q);
-        }
-    }
-
-    /// The tracker wiring degree in force: the configured target, halved
-    /// (rounded up) while a partition makes half the candidate list
-    /// unreachable.
-    fn effective_target(&self, partitioned: bool) -> usize {
-        if partitioned {
-            self.config.target_degree.div_ceil(2)
+        // A partition makes half the candidate list unreachable, so the
+        // wiring degree in force halves (rounded up).
+        let degree = self.config.target_degree;
+        let target = if partitioned {
+            degree.div_ceil(2)
         } else {
-            self.config.target_degree
-        }
+            degree
+        };
+        self.tracker.hand_out(
+            self.config.peer_list_cap,
+            rng,
+            &mut self.swarm,
+            |swarm| swarm.degree(slot) >= target,
+            |swarm, q| {
+                if q != slot && !(partitioned && FaultPlan::cross_partition(slot, q)) {
+                    // `connect_peers` rejects duplicates and full rows on
+                    // its own.
+                    swarm.connect_peers(slot, q);
+                }
+            },
+        );
     }
 
     /// Book-keeping for a freshly (re)occupied arena slot.
@@ -1248,7 +1165,6 @@ impl Session {
             self.completion_recorded.push(false);
             self.leave_decided.push(false);
             self.publisher.push(false);
-            self.slot_pos.push(ABSENT);
         }
         self.generation[slot] = self.generation[slot].wrapping_add(1);
         self.arrival_round[slot] = round;
@@ -1256,9 +1172,7 @@ impl Session {
         self.leave_decided[slot] = false;
         // Session arrivals are never publishers, complete or not.
         self.publisher[slot] = false;
-        debug_assert_eq!(self.slot_pos[slot], ABSENT);
-        self.slot_pos[slot] = self.present_slots.len() as u32;
-        self.present_slots.push(slot as u32);
+        self.tracker.insert(slot);
     }
 
     /// Removes `p` and records the departure.
@@ -1274,14 +1188,7 @@ impl Session {
                 _ => obs.departure(t, p),
             }
         }
-        // Swap-remove from the dense present list.
-        let pos = self.slot_pos[p] as usize;
-        debug_assert_eq!(self.present_slots[pos] as usize, p);
-        let last = *self.present_slots.last().expect("p was present");
-        self.present_slots[pos] = last;
-        self.slot_pos[last as usize] = pos as u32;
-        self.present_slots.pop();
-        self.slot_pos[p] = ABSENT;
+        self.tracker.remove(p);
         self.stats.departures += 1;
         match reason {
             DepartReason::Aborted => self.stats.aborted += 1,

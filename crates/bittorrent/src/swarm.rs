@@ -454,13 +454,11 @@ impl Swarm {
             if p >= config.leechers {
                 pieces.push(PieceSet::full(config.piece_count));
             } else {
-                let mut set = PieceSet::new(config.piece_count);
-                for i in 0..config.piece_count {
-                    if rng.gen_bool(config.initial_completion) {
-                        set.insert(i);
-                    }
-                }
-                pieces.push(set);
+                pieces.push(PieceSet::random(
+                    config.piece_count,
+                    config.initial_completion,
+                    &mut rng,
+                ));
             }
         }
         // A leecher may complete by lucky initialization.
